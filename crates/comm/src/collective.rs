@@ -29,7 +29,7 @@ use crate::protocol::{
 use crate::ring::Ring;
 
 /// Fixed-cost parameters of the NCCL-style backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NcclCosts {
     /// GPU time of the per-call `ReduceKernel`/`BroadcastKernel` on
     /// every rank, charged once per collective invocation (per

@@ -43,9 +43,11 @@ pub enum CommError {
         /// The offending token.
         token: String,
     },
-    /// A tuning-space override that filtered every candidate away.
+    /// A tuning space with no (algorithm, protocol, channels)
+    /// candidate for the collective asked of it.
     EmptyTuningSpace {
-        /// The full override string.
+        /// The rejected space: the override assignment, or the
+        /// space's `Debug` form when it was built in code.
         value: String,
     },
 }
@@ -68,7 +70,7 @@ impl fmt::Display for CommError {
             ),
             CommError::EmptyTuningSpace { value } => write!(
                 f,
-                "{NCCL_PROTO_ENV}={value:?} leaves no (algorithm, protocol, channels) candidate"
+                "{value} leaves no (algorithm, protocol, channels) candidate"
             ),
         }
     }
@@ -341,8 +343,8 @@ impl TuningSpace {
     /// # Errors
     ///
     /// [`CommError::UnknownTuningToken`] for an unrecognised token and
-    /// [`CommError::EmptyTuningSpace`] if nothing survives (e.g.
-    /// `"ch0"`).
+    /// [`CommError::EmptyTuningSpace`] if nothing survives (`"ch0"`
+    /// is an unknown token, not an empty space).
     pub fn parse_override(value: &str) -> Result<Self, CommError> {
         let mut algorithms: Vec<Algorithm> = Vec::new();
         let mut protocols: Vec<Protocol> = Vec::new();
@@ -386,7 +388,7 @@ impl TuningSpace {
         };
         if space.candidates().next().is_none() {
             return Err(CommError::EmptyTuningSpace {
-                value: value.to_string(),
+                value: format!("{NCCL_PROTO_ENV}={value:?}"),
             });
         }
         Ok(space)

@@ -1,11 +1,14 @@
 //! Property tests of the NCCL auto-tuner: the chosen candidate is
 //! never beaten by an unchosen one at any swept size, selection is
-//! deterministic, tuned cost is monotone in payload, and tuning on a
+//! deterministic (and a shared memo never disagrees with a fresh
+//! choice), tuned cost is monotone in payload, and tuning on a
 //! degraded topology never routes a collective through a killed link.
 
 use proptest::prelude::*;
+use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::{collective, tuner, Ring, Selection, TuningSpace};
-use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
+use voltascope_sim::SimSpan;
+use voltascope_topo::{dgx1_v100, Device, FaultSpec, LinkKind, Topology};
 
 fn modern_costs() -> collective::NcclCosts {
     collective::NcclCosts {
@@ -28,6 +31,64 @@ fn scenarios() -> Vec<(Topology, Vec<(Device, Device)>)> {
         (dead_cable, vec![(g(3), g(5))]),
         (dead_iface, iface_pairs),
     ]
+}
+
+/// A fault spec on the DGX-1 from generated parameters: the NVLink
+/// cable at index `kill` dies and the one at `degrade` runs at
+/// `factor` of its bandwidth (an index past the last cable means no
+/// such fault), and every surviving link gains `jitter_ns` of latency.
+fn faulted(kill: usize, degrade: usize, factor: f64, jitter_ns: u64) -> Topology {
+    let base = dgx1_v100();
+    let cables: Vec<(Device, Device)> = base
+        .links()
+        .iter()
+        .filter(|l| matches!(l.kind, LinkKind::NvLink { .. }))
+        .map(|l| (l.a, l.b))
+        .collect();
+    let mut spec = FaultSpec::new().link_jitter(SimSpan::from_nanos(jitter_ns));
+    if let Some(&(a, b)) = cables.get(kill) {
+        spec = spec.kill_link(a, b);
+    }
+    if let Some(&(a, b)) = cables.get(degrade).filter(|_| degrade != kill) {
+        spec = spec.degrade_link(a, b, factor);
+    }
+    base.apply(&spec)
+}
+
+/// The non-empty sub-space of [`TuningSpace::modern`] whose axes keep
+/// the entries selected by the low bits of each mask.
+fn sub_space((algorithms, protocols, channels): (u8, u8, u8)) -> TuningSpace {
+    fn pick<T: Copy>(all: &[T], mask: u8) -> Vec<T> {
+        let kept: Vec<T> = (0..all.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| all[i])
+            .collect();
+        assert!(!kept.is_empty(), "mask {mask:#b} keeps nothing");
+        kept
+    }
+    let modern = TuningSpace::modern();
+    TuningSpace {
+        algorithms: pick(&modern.algorithms, algorithms),
+        protocols: pick(&modern.protocols, protocols),
+        channels: pick(&modern.channels, channels),
+    }
+}
+
+/// Whether two topologies are wired alike, from their public parts
+/// (adjacency follows from the devices and links), independently of
+/// the comparison the memo uses.
+fn wired_alike(a: &Topology, b: &Topology) -> bool {
+    a.devices() == b.devices() && a.links() == b.links() && a.gpus_forward() == b.gpus_forward()
+}
+
+/// Whether the tuner answers `space` without simulating: one
+/// candidate for the collective (broadcast ignores the algorithm axis).
+fn is_singleton(space: &TuningSpace, all_reduce: bool) -> bool {
+    if all_reduce {
+        space.singleton().is_some()
+    } else {
+        space.protocols.len() * space.channels.len() == 1
+    }
 }
 
 proptest! {
@@ -68,20 +129,83 @@ proptest! {
         }
     }
 
-    /// Selection is a pure function of (topology, size): re-tuning
-    /// returns the identical candidate, so emission is reproducible.
+    /// Selection is a pure function of its inputs: re-tuning returns
+    /// the identical candidate, so emission is reproducible — and one
+    /// memo shared by every query, asked in random order, answers
+    /// exactly what a fresh choice does, simulating each distinct key
+    /// once. Topologies carry dead, degraded and jittered links (plus
+    /// a straggler-only twin of the healthy box, which renames it
+    /// without touching a link); sizes include 0 and 1; spaces are
+    /// random non-empty sub-spaces of the modern space.
     #[test]
-    fn selection_is_deterministic(bytes in 1u64..(1 << 26)) {
-        let costs = modern_costs();
-        for (topo, _) in scenarios() {
-            let ring = Ring::build(&topo, 8);
-            let a = tuner::choose_all_reduce(&topo, &ring, bytes, &costs).unwrap();
-            let b = tuner::choose_all_reduce(&topo, &ring, bytes, &costs).unwrap();
-            prop_assert_eq!(a, b, "{}: re-tuning flipped the choice", topo.name());
-            let a = tuner::choose_broadcast(&topo, &ring, bytes, &costs).unwrap();
-            let b = tuner::choose_broadcast(&topo, &ring, bytes, &costs).unwrap();
-            prop_assert_eq!(a, b, "{}: re-tuning flipped broadcast", topo.name());
+    fn selection_is_deterministic(
+        faults in proptest::collection::vec((0usize..32, 0usize..32, 0.25f64..=1.0, 0u64..3), 2),
+        sizes in proptest::collection::vec(2u64..(1 << 26), 2),
+        masks in proptest::collection::vec((1u8..4, 1u8..8, 1u8..8), 2),
+        queries in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0usize..2, proptest::bool::ANY),
+            6..20,
+        ),
+    ) {
+        let healthy = dgx1_v100();
+        let straggler = healthy.apply(&FaultSpec::new().slow_gpu(Device::gpu(3), 1.5));
+        let mut topos = vec![healthy, straggler];
+        topos.extend(faults.iter().map(|&(kill, degrade, factor, jitter)| {
+            faulted(kill, degrade, factor, jitter * 100)
+        }));
+        let rings: Vec<Ring> = topos.iter().map(|t| Ring::build(t, 8)).collect();
+        let sizes = [0, 1, sizes[0], sizes[1]];
+        let all_costs: Vec<collective::NcclCosts> = masks
+            .iter()
+            .map(|&m| collective::NcclCosts {
+                tuning: sub_space(m),
+                ..collective::NcclCosts::default()
+            })
+            .collect();
+        let memo = TunerMemo::new();
+        let mut keys: Vec<(usize, usize, usize, bool)> = Vec::new();
+        let mut lookups = 0;
+        for &(t, b, c, all_reduce) in &queries {
+            let (topo, ring, bytes, costs) = (&topos[t], &rings[t], sizes[b], &all_costs[c]);
+            let (fresh, again, memoised) = if all_reduce {
+                (
+                    tuner::choose_all_reduce(topo, ring, bytes, costs).unwrap(),
+                    tuner::choose_all_reduce(topo, ring, bytes, costs).unwrap(),
+                    memo.choose_all_reduce(topo, ring, bytes, costs).unwrap(),
+                )
+            } else {
+                (
+                    tuner::choose_broadcast(topo, ring, bytes, costs).unwrap(),
+                    tuner::choose_broadcast(topo, ring, bytes, costs).unwrap(),
+                    memo.choose_broadcast(topo, ring, bytes, costs).unwrap(),
+                )
+            };
+            prop_assert_eq!(fresh, again, "{}: re-tuning flipped the choice", topo.name());
+            prop_assert_eq!(
+                memoised, fresh,
+                "{}: memo disagrees at {} bytes (all-reduce: {})",
+                topo.name(), bytes, all_reduce
+            );
+            if is_singleton(&costs.tuning, all_reduce) {
+                continue;
+            }
+            lookups += 1;
+            // The memo's key, rebuilt from representatives: wiring,
+            // ring, every cost field, bytes and collective.
+            let same = |&(t2, b2, c2, ar2): &(usize, usize, usize, bool)| {
+                wired_alike(&topos[t2], topo)
+                    && rings[t2] == *ring
+                    && sizes[b2] == bytes
+                    && all_costs[c2] == *costs
+                    && ar2 == all_reduce
+            };
+            if !keys.iter().any(same) {
+                keys.push((t, b, c, all_reduce));
+            }
         }
+        let stats = memo.stats();
+        prop_assert_eq!(stats.lookups, lookups);
+        prop_assert_eq!(stats.simulated, keys.len() as u64, "one simulation per distinct key");
     }
 
     /// More bytes can never make the *tuned* AllReduce faster: the

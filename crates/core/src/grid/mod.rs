@@ -22,7 +22,9 @@
 //! * [`GridRunner`] — pre-builds each workload's [`Model`] once per
 //!   grid (shared via `Arc` across worker threads) and each platform
 //!   variant's [`Harness`] once, then maps a cell function over the
-//!   enumeration.
+//!   enumeration. Cells simulated through [`CellCtx::report`] share
+//!   the runner's NCCL tuner memo, so each distinct tuning decision is
+//!   simulated once per grid.
 //!
 //! ## Determinism
 //!
@@ -60,7 +62,10 @@ mod spec;
 
 pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
-pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};
+pub use runner::{
+    cell_report, cell_report_with, epoch_reports, harness_for, run_grid, CellCtx, GridOut,
+    GridRunner,
+};
 pub use spec::{GridSpec, PAPER_BATCHES, PAPER_GPU_COUNTS};
 
 #[allow(unused_imports)] // rustdoc links

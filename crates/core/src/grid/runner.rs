@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
+use voltascope_comm::tuner::TunerMemo;
 use voltascope_dnn::Model;
 use voltascope_train::{EpochReport, MidEpochFault};
 use voltascope_workload::Definition;
@@ -11,12 +12,13 @@ use voltascope_workload::Definition;
 use super::cell::{Cell, FaultScenario, Platform};
 use super::executor::Executor;
 use super::spec::GridSpec;
+use crate::harness::train_config;
 use crate::workloads::WorkloadSel;
 use crate::Harness;
 
 /// Everything a cell function needs, resolved once per grid rather
-/// than once per cell: the platform-adjusted harness and the resolved
-/// workload definition.
+/// than once per cell: the platform-adjusted harness, the resolved
+/// workload definition and the grid's tuner memo.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx<'r> {
     /// The grid point being evaluated.
@@ -26,9 +28,16 @@ pub struct CellCtx<'r> {
     /// The cell's workload definition, resolved once per grid and
     /// shared.
     pub def: &'r Definition,
+    tuner: &'r TunerMemo,
 }
 
 impl<'r> CellCtx<'r> {
+    /// The cell's [`EpochReport`] ([`cell_report`]), with NCCL tuning
+    /// decisions shared across the grid's cells.
+    pub fn report(&self) -> EpochReport {
+        cell_report_with(self.harness, self.def, &self.cell, self.tuner)
+    }
+
     /// The cell's built [`Model`], for experiments that inspect graph
     /// structure or memory (data-only workloads have no model).
     ///
@@ -50,17 +59,20 @@ impl<'r> CellCtx<'r> {
 /// [`Definition`] resolved exactly once (building the zoo model and/or
 /// attaching the parsed spec), and one [`Harness`] per (platform,
 /// fault scenario) combination, all behind `Arc` so parallel workers
-/// share them without copying.
-#[derive(Debug, Clone)]
+/// share them without copying, plus one [`TunerMemo`] that
+/// [`CellCtx::report`] prices every cell's NCCL tuning decisions
+/// through.
+#[derive(Debug)]
 pub struct GridRunner {
     defs: HashMap<WorkloadSel, Arc<Definition>>,
     harnesses: HashMap<(Platform, FaultScenario), Arc<Harness>>,
+    tuner: TunerMemo,
 }
 
 impl GridRunner {
     /// Builds the shared context for `spec`: one definition per
     /// workload on the axis, one harness per (platform, fault) pair on
-    /// the axes.
+    /// the axes, and an empty tuner memo.
     pub fn new(base: &Harness, spec: &GridSpec) -> Self {
         let defs = spec
             .workload_axis()
@@ -73,7 +85,11 @@ impl GridRunner {
                 harnesses.insert((p, f), Arc::new(harness_for(base, p, f)));
             }
         }
-        GridRunner { defs, harnesses }
+        GridRunner {
+            defs,
+            harnesses,
+            tuner: TunerMemo::new(),
+        }
     }
 
     /// Maps `f` over every cell of `spec` under `exec`, returning the
@@ -102,6 +118,7 @@ impl GridRunner {
                     .defs
                     .get(&cell.workload)
                     .expect("runner built for this workload axis"),
+                tuner: &self.tuner,
             };
             f(ctx)
         });
@@ -145,18 +162,28 @@ pub fn harness_for(base: &Harness, platform: Platform, fault: FaultScenario) -> 
 /// to engine events at [`FaultScenario::mid_epoch_fraction`]. Both the
 /// direct grid path ([`epoch_reports`]) and the caching service route
 /// every cell through here, so the two stay interchangeable.
+///
+/// Tuning decisions go through a call-local memo; sweeps use
+/// [`cell_report_with`] to share one across cells.
 pub fn cell_report(harness: &Harness, def: &Definition, cell: &Cell) -> EpochReport {
-    match cell.fault.mid_epoch_fraction() {
-        Some(fraction) => harness.epoch_def_dynamic(
-            def,
-            cell.batch,
-            cell.gpus,
-            cell.comm,
-            cell.scaling,
-            &MidEpochFault::new(cell.fault.spec(), fraction),
-        ),
-        None => harness.epoch_def(def, cell.batch, cell.gpus, cell.comm, cell.scaling),
-    }
+    cell_report_with(harness, def, cell, &TunerMemo::new())
+}
+
+/// [`cell_report`] with its NCCL tuning decisions priced through a
+/// sweep owner's `tuner`. The report does not depend on what the memo
+/// already holds.
+pub fn cell_report_with(
+    harness: &Harness,
+    def: &Definition,
+    cell: &Cell,
+    tuner: &TunerMemo,
+) -> EpochReport {
+    let cfg = train_config(cell.batch, cell.gpus, cell.comm, cell.scaling);
+    let fault = cell
+        .fault
+        .mid_epoch_fraction()
+        .map(|fraction| MidEpochFault::new(cell.fault.spec(), fraction));
+    harness.epoch_def_with(def, &cfg, fault.as_ref(), tuner)
 }
 
 /// Runs one grid end to end: build the shared context, execute, return
@@ -174,9 +201,7 @@ where
 /// produce the same `GridOut<Arc<EpochReport>>` shape, so experiment
 /// row derivations are agnostic about which path computed their cells.
 pub fn epoch_reports(base: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<Arc<EpochReport>> {
-    run_grid(base, spec, exec, |ctx| {
-        Arc::new(cell_report(ctx.harness, ctx.def, &ctx.cell))
-    })
+    run_grid(base, spec, exec, |ctx| Arc::new(ctx.report()))
 }
 
 /// The results of one grid run: values in cell-enumeration order plus

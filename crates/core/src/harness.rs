@@ -1,10 +1,11 @@
 //! The experiment harness: configured system + measurement protocol.
 
+use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::{zoo::Workload, Model};
 use voltascope_sim::{mean_stddev, Jitter};
 use voltascope_train::{
-    simulate_epoch, simulate_epoch_dynamic_lowered, simulate_epoch_lowered, DatasetSpec,
+    simulate_epoch, simulate_epoch_dynamic_lowered_memo, simulate_epoch_lowered_memo, DatasetSpec,
     EpochReport, MemoryModel, MidEpochFault, ScalingMode, SystemModel, TrainConfig,
 };
 use voltascope_workload::Definition;
@@ -72,15 +73,7 @@ impl Harness {
         comm: CommMethod,
         scaling: ScalingMode,
     ) -> EpochReport {
-        let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
-            scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
-        };
-        simulate_epoch(&self.sys, model, &cfg)
+        simulate_epoch(&self.sys, model, &train_config(batch, gpus, comm, scaling))
     }
 
     /// Like [`Harness::epoch`] but driven by a workload [`Definition`]:
@@ -101,16 +94,8 @@ impl Harness {
         comm: CommMethod,
         scaling: ScalingMode,
     ) -> EpochReport {
-        let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
-            scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
-        };
-        let lowered = def.lowered(batch).unwrap_or_else(|e| panic!("{e}"));
-        simulate_epoch_lowered(&self.sys, &lowered, &cfg)
+        let cfg = train_config(batch, gpus, comm, scaling);
+        self.epoch_def_with(def, &cfg, None, &TunerMemo::new())
     }
 
     /// Like [`Harness::epoch_def`] but with `fault` striking partway
@@ -139,19 +124,33 @@ impl Harness {
         scaling: ScalingMode,
         fault: &MidEpochFault,
     ) -> EpochReport {
-        let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
-            scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
-        };
-        let lowered = def.lowered(batch).unwrap_or_else(|e| panic!("{e}"));
-        let dynamic = simulate_epoch_dynamic_lowered(&self.sys, &lowered, &cfg, fault);
-        EpochReport {
-            epoch_time: dynamic.epoch_time,
-            ..dynamic.degraded
+        let cfg = train_config(batch, gpus, comm, scaling);
+        self.epoch_def_with(def, &cfg, Some(fault), &TunerMemo::new())
+    }
+
+    /// The body of [`Harness::epoch_def`] (no `fault`) and
+    /// [`Harness::epoch_def_dynamic`], with NCCL tuning decisions
+    /// priced through `tuner`.
+    pub(crate) fn epoch_def_with(
+        &self,
+        def: &Definition,
+        cfg: &TrainConfig,
+        fault: Option<&MidEpochFault>,
+        tuner: &TunerMemo,
+    ) -> EpochReport {
+        let lowered = def
+            .lowered(cfg.batch_per_gpu)
+            .unwrap_or_else(|e| panic!("{e}"));
+        match fault {
+            None => simulate_epoch_lowered_memo(&self.sys, &lowered, cfg, tuner),
+            Some(fault) => {
+                let dynamic =
+                    simulate_epoch_dynamic_lowered_memo(&self.sys, &lowered, cfg, fault, tuner);
+                EpochReport {
+                    epoch_time: dynamic.epoch_time,
+                    ..dynamic.degraded
+                }
+            }
         }
     }
 
@@ -203,6 +202,24 @@ impl Harness {
             | ((gpus as u64) << 16)
             | (comm == CommMethod::Nccl) as u64;
         self.measure(report.epoch_time.as_secs_f64(), salt)
+    }
+}
+
+/// The paper's ImageNet-256K configuration at one grid point, with
+/// MXNet's per-layer gradient buckets.
+pub(crate) fn train_config(
+    batch: usize,
+    gpus: usize,
+    comm: CommMethod,
+    scaling: ScalingMode,
+) -> TrainConfig {
+    TrainConfig {
+        batch_per_gpu: batch,
+        gpu_count: gpus,
+        comm,
+        scaling,
+        dataset: DatasetSpec::imagenet_256k(),
+        bucket_fusion_bytes: 0,
     }
 }
 

@@ -48,6 +48,17 @@
 //! invariants are maintained by the guards, not by the panicking
 //! section — so one failed request can never wedge the service.
 //!
+//! ## Tuner memo
+//!
+//! The service owns one [`TunerMemo`] for its whole lifetime, and
+//! every cell it computes — through [`GridService::run_cells`], the
+//! assemble loop's adoptions, or the async scheduler's workers —
+//! prices its NCCL tuning decisions through it, so under a modern
+//! tuning space each distinct decision is simulated once per service.
+//! The memo lives on the service, not on the [`Harness`]: the harness
+//! is hashed into snapshot fingerprints and cloned into fresh
+//! services. [`GridService::tuner_stats`] reports its counters.
+//!
 //! ## Persistence
 //!
 //! The cache can be snapshotted to disk and reloaded across processes:
@@ -120,6 +131,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use voltascope_comm::tuner::{TunerMemo, TunerStats};
 use voltascope_train::EpochReport;
 use voltascope_workload::Definition;
 
@@ -247,6 +259,9 @@ pub struct GridService {
     base: Harness,
     exec: Executor,
     state: Mutex<State>,
+    /// Every cell this service computes prices its NCCL tuning
+    /// decisions through this memo, whichever front end asked.
+    tuner: TunerMemo,
     ready: Condvar,
     requests: AtomicU64,
     cells: AtomicU64,
@@ -307,6 +322,7 @@ impl GridService {
             base,
             exec,
             state: Mutex::new(State::default()),
+            tuner: TunerMemo::new(),
             ready: Condvar::new(),
             requests: AtomicU64::new(0),
             cells: AtomicU64::new(0),
@@ -533,7 +549,7 @@ impl GridService {
         // overlapping requests stream results out of this one.
         self.exec.run(mine.len(), |i| {
             let (cell, def, harness) = &mine[i];
-            let report = Arc::new(grid::cell_report(harness, def, cell));
+            let report = Arc::new(grid::cell_report_with(harness, def, cell, &self.tuner));
             self.computed.fetch_add(1, Ordering::Relaxed);
             let mut state = self.lock_state();
             state.cache.insert(*cell, Slot::Done(report.clone()));
@@ -646,7 +662,7 @@ impl GridService {
             };
             // May panic; the guard reverts the claim and wakes waiters
             // before the unwind reaches the scheduler's catch.
-            let report = Arc::new(grid::cell_report(&harness, &def, &cell));
+            let report = Arc::new(grid::cell_report_with(&harness, &def, &cell, &self.tuner));
             self.computed.fetch_add(1, Ordering::Relaxed);
             {
                 let mut state = self.lock_state();
@@ -677,7 +693,7 @@ impl GridService {
         // May panic for a genuinely poisonous cell, in which case the
         // guard reverts this adoption too and the panic propagates to
         // this request's caller.
-        let report = Arc::new(grid::cell_report(&harness, &def, &cell));
+        let report = Arc::new(grid::cell_report_with(&harness, &def, &cell, &self.tuner));
         self.computed.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.lock_state();
@@ -753,6 +769,16 @@ impl GridService {
     /// which snapshot machinery served them.
     pub fn trace_decodes(&self) -> u64 {
         self.trace_decodes.load(Ordering::Relaxed)
+    }
+
+    /// Counters of the service's tuner memo: NCCL tuning decisions
+    /// looked up by the cells it computed, and how many of them were
+    /// priced by simulating every candidate. Under the paper's
+    /// singleton tuning space both stay zero. Kept out of
+    /// [`ServiceStats`] for the same reason as
+    /// [`GridService::trace_decodes`].
+    pub fn tuner_stats(&self) -> TunerStats {
+        self.tuner.stats()
     }
 
     /// Number of distinct cells resident in the cache (completed or in

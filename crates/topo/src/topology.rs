@@ -56,6 +56,28 @@ impl Topology {
         &self.name
     }
 
+    /// Whether `other` is wired identically: the same devices, links
+    /// (endpoints, kind, bandwidth, latency, in insertion order),
+    /// adjacency and forwarding rule — every field except the display
+    /// name. Routing, rings and collective prices depend on the wiring
+    /// alone, so a straggler-only fault, which renames the topology
+    /// "… (degraded)" without touching a link, leaves it unchanged.
+    pub fn same_wiring(&self, other: &Topology) -> bool {
+        // Destructured so a new field cannot be left out of the
+        // comparison silently.
+        let Topology {
+            name: _,
+            devices,
+            links,
+            adjacency,
+            gpus_forward,
+        } = self;
+        *devices == other.devices
+            && *links == other.links
+            && *adjacency == other.adjacency
+            && *gpus_forward == other.gpus_forward
+    }
+
     /// Allows GPUs to forward traffic (the idealised-routing ablation).
     pub fn set_gpus_forward(&mut self, allowed: bool) {
         self.gpus_forward = allowed;

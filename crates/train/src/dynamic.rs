@@ -32,13 +32,14 @@
 //! multi-leg occupancy the static lowering models, acceptable for the
 //! one transition iteration it is applied to.
 
+use voltascope_comm::tuner::TunerMemo;
 use voltascope_dnn::Model;
 use voltascope_sim::{DynamicEvent, DynamicEventKind, ResourceId, SimSpan, SimTime, TaskGraph};
 use voltascope_topo::{FaultSpec, Link, Topology};
 use voltascope_workload::{lower_model, LoweredWorkload};
 
 use crate::epoch::{
-    simulate_epoch_lowered, simulate_epoch_lowered_with_events, EpochReport, SystemModel,
+    simulate_epoch_lowered_memo, simulate_epoch_lowered_with_events, EpochReport, SystemModel,
     TrainConfig,
 };
 
@@ -215,7 +216,9 @@ pub fn simulate_epoch_dynamic(
     simulate_epoch_dynamic_lowered(sys, &lowered, cfg, fault)
 }
 
-/// [`simulate_epoch_dynamic`] from an already-lowered workload.
+/// [`simulate_epoch_dynamic`] from an already-lowered workload. Its
+/// three engine runs share one call-local [`TunerMemo`], so the
+/// transition run reuses the healthy run's tuning decisions.
 ///
 /// # Panics
 ///
@@ -226,9 +229,26 @@ pub fn simulate_epoch_dynamic_lowered(
     cfg: &TrainConfig,
     fault: &MidEpochFault,
 ) -> DynamicEpochReport {
-    let healthy = simulate_epoch_lowered(sys, workload, cfg);
+    simulate_epoch_dynamic_lowered_memo(sys, workload, cfg, fault, &TunerMemo::new())
+}
+
+/// [`simulate_epoch_dynamic_lowered`] with its NCCL tuning decisions
+/// priced through a caller-owned `tuner`, shared with whatever else
+/// the caller simulates.
+///
+/// # Panics
+///
+/// As [`simulate_epoch_dynamic`].
+pub fn simulate_epoch_dynamic_lowered_memo(
+    sys: &SystemModel,
+    workload: &LoweredWorkload,
+    cfg: &TrainConfig,
+    fault: &MidEpochFault,
+    tuner: &TunerMemo,
+) -> DynamicEpochReport {
+    let healthy = simulate_epoch_lowered_memo(sys, workload, cfg, tuner);
     let degraded_sys = sys.with_faults(&fault.spec);
-    let degraded = simulate_epoch_lowered(&degraded_sys, workload, cfg);
+    let degraded = simulate_epoch_lowered_memo(&degraded_sys, workload, cfg, tuner);
     let n = healthy.iterations;
     // The iteration the fault strikes in; saturates at `n` (never
     // fires). f64->u64 is exact here: `at_fraction` is validated
@@ -270,7 +290,7 @@ pub fn simulate_epoch_dynamic_lowered(
         .epoch_time
         .saturating_sub(healthy.iter_time * n.saturating_sub(1));
     let at = SimTime::ZERO + fill + healthy.iter_time / 2;
-    let (_, [t0, t1, _]) = simulate_epoch_lowered_with_events(sys, workload, cfg, |graph| {
+    let (_, [t0, t1, _]) = simulate_epoch_lowered_with_events(sys, workload, cfg, tuner, |graph| {
         lower_fault_events(graph, &sys.topo, &fault.spec, at)
     });
     let transition_iter = t1 - t0;

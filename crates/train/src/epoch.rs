@@ -16,7 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use voltascope_comm::{collective, tuner, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
+use voltascope_comm::tuner::TunerMemo;
+use voltascope_comm::{collective, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
 use voltascope_dnn::{Model, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
@@ -257,7 +258,24 @@ pub fn simulate_epoch_lowered(
     workload: &LoweredWorkload,
     cfg: &TrainConfig,
 ) -> EpochReport {
-    simulate_epoch_lowered_with_events(sys, workload, cfg, |_| Vec::new()).0
+    simulate_epoch_lowered_memo(sys, workload, cfg, &TunerMemo::new())
+}
+
+/// [`simulate_epoch_lowered`] with its NCCL tuning decisions priced
+/// through `tuner`, so a sweep that passes one memo to every cell
+/// simulates each distinct decision once. The report is identical to
+/// [`simulate_epoch_lowered`]'s whatever the memo holds.
+///
+/// # Panics
+///
+/// As [`simulate_epoch_lowered`].
+pub fn simulate_epoch_lowered_memo(
+    sys: &SystemModel,
+    workload: &LoweredWorkload,
+    cfg: &TrainConfig,
+    tuner: &TunerMemo,
+) -> EpochReport {
+    simulate_epoch_lowered_with_events(sys, workload, cfg, tuner, |_| Vec::new()).0
 }
 
 /// The full lowering with a mid-run dynamic-event hook: `events` sees
@@ -268,11 +286,13 @@ pub fn simulate_epoch_lowered(
 /// with an empty hook, so the healthy path cannot drift. Also returns
 /// the three iteration-marker finish instants (pipeline fill `t0`,
 /// then the steady-state window ends `t1`, `t2`) that the mid-epoch
-/// fault model in [`crate::dynamic`] needs.
+/// fault model in [`crate::dynamic`] needs. NCCL tuning decisions go
+/// through `tuner`.
 pub(crate) fn simulate_epoch_lowered_with_events(
     sys: &SystemModel,
     workload: &LoweredWorkload,
     cfg: &TrainConfig,
+    tuner: &TunerMemo,
     events: impl FnOnce(&TaskGraph) -> Vec<DynamicEvent>,
 ) -> (EpochReport, [voltascope_sim::SimTime; 3]) {
     assert!(cfg.batch_per_gpu > 0, "batch size must be positive");
@@ -360,10 +380,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
     let tree = ReductionTree::new(cfg.gpu_count);
     // Tune the NCCL (algorithm, protocol, channels) per distinct
     // bucket size once — bucket sizes are identical across the three
-    // pipelined iterations, and with the calibrated singleton space
-    // the tuner short-circuits without simulating anything. Built on
-    // the (possibly degraded) topology, so a dead NVLink renegotiates
-    // the choice along with the ring.
+    // pipelined iterations, decisions another epoch already priced
+    // come from the memo, and with the calibrated singleton space the
+    // tuner short-circuits without simulating anything. Built on the
+    // (possibly degraded) topology, so a dead NVLink renegotiates the
+    // choice along with the ring.
     let nccl_sel: BTreeMap<u64, (Selection, Selection)> = match cfg.comm {
         CommMethod::Nccl => buckets
             .iter()
@@ -371,9 +392,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             .collect::<std::collections::BTreeSet<u64>>()
             .into_iter()
             .map(|bytes| {
-                let ar = tuner::choose_all_reduce(&sys.topo, &ring, bytes, &sys.nccl)
+                let ar = tuner
+                    .choose_all_reduce(&sys.topo, &ring, bytes, &sys.nccl)
                     .unwrap_or_else(|e| panic!("{e}"));
-                let bc = tuner::choose_broadcast(&sys.topo, &ring, bytes, &sys.nccl)
+                let bc = tuner
+                    .choose_broadcast(&sys.topo, &ring, bytes, &sys.nccl)
                     .unwrap_or_else(|e| panic!("{e}"));
                 (bytes, (ar, bc))
             })

@@ -50,9 +50,13 @@ mod schedule;
 pub use async_sgd::AsyncParameterServer;
 pub use dataset::{DatasetSpec, ScalingMode, ShuffledSampler, SyntheticDataset};
 pub use dynamic::{
-    simulate_epoch_dynamic, simulate_epoch_dynamic_lowered, DynamicEpochReport, MidEpochFault,
+    simulate_epoch_dynamic, simulate_epoch_dynamic_lowered, simulate_epoch_dynamic_lowered_memo,
+    DynamicEpochReport, MidEpochFault,
 };
-pub use epoch::{simulate_epoch, simulate_epoch_lowered, EpochReport, SystemModel, TrainConfig};
+pub use epoch::{
+    simulate_epoch, simulate_epoch_lowered, simulate_epoch_lowered_memo, EpochReport, SystemModel,
+    TrainConfig,
+};
 pub use memory::{GpuRole, MemoryModel, MemoryUsage};
 pub use optimizer::{Sgd, SgdState};
 pub use parallel::{flatten, unflatten, DataParallel};

@@ -2,12 +2,18 @@
 //! single-flight (each cell computed exactly once no matter how many
 //! concurrent requests ask for it), byte-identical to the direct grid
 //! path at any thread count, and keyed on the *full* cell — platform
-//! and fault variants may never answer each other's requests.
+//! and fault variants may never answer each other's requests. Under a
+//! modern tuning space every sweep path prices each distinct NCCL
+//! tuning decision once and reports exactly what a fresh per-cell
+//! simulation does.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
+use dgx1_repro::comm::{Ring, TuningSpace};
 use dgx1_repro::prelude::*;
-use voltascope::grid::epoch_reports;
+use dgx1_repro::topo::Topology;
+use voltascope::grid::{cell_report, epoch_reports, harness_for, GridOut};
 
 fn cell(workload: Workload, comm: CommMethod, batch: usize, gpus: usize) -> Cell {
     Cell {
@@ -159,4 +165,139 @@ fn cache_keys_distinguish_platform_and_fault_variants() {
     for (a, b) in reports.iter().zip(again.iter()) {
         assert!(Arc::ptr_eq(a, b));
     }
+}
+
+/// The modern-space fault grid: LeNet and AlexNet x every canned fault
+/// scenario x 8 GPUs x NCCL, on a harness whose tuning space is set in
+/// code.
+fn tuned_fault_grid() -> (Harness, GridSpec) {
+    let mut h = Harness::paper();
+    h.sys.nccl.tuning = TuningSpace::modern();
+    let spec = GridSpec::paper()
+        .workloads([Workload::LeNet, Workload::AlexNet])
+        .comms([CommMethod::Nccl])
+        .batches([32])
+        .gpu_counts([8])
+        .faults(FaultScenario::EXTENDED);
+    (h, spec)
+}
+
+/// Every field of two reports must match exactly.
+fn assert_same_report(a: &EpochReport, b: &EpochReport, what: &str) {
+    assert_eq!(a.iterations, b.iterations, "{what}");
+    assert_eq!(a.iter_time, b.iter_time, "{what}");
+    assert_eq!(a.epoch_time, b.epoch_time, "{what}");
+    assert_eq!(a.fp_bp_iter, b.fp_bp_iter, "{what}");
+    assert_eq!(a.wu_iter, b.wu_iter, "{what}");
+    assert_eq!(a.api_iter, b.api_iter, "{what}");
+    assert_eq!(a.sync_wall_iter, b.sync_wall_iter, "{what}");
+    assert_eq!(
+        a.compute_utilization.to_bits(),
+        b.compute_utilization.to_bits(),
+        "{what}"
+    );
+    assert_eq!(a.iter_trace.events(), b.iter_trace.events(), "{what}");
+    assert_eq!(a.critical_chain, b.critical_chain, "{what}");
+}
+
+/// Whether two topologies are wired alike, from their public parts
+/// (adjacency follows from the devices and links), independently of
+/// the comparison the memo uses.
+fn wired_alike(a: &Topology, b: &Topology) -> bool {
+    a.devices() == b.devices() && a.links() == b.links() && a.gpus_forward() == b.gpus_forward()
+}
+
+/// The distinct tuning decisions a sweep of `spec` asks for, counted
+/// without the memo: (topology wiring, ring, bytes, collective) over
+/// every engine run of every cell. A mid-epoch cell runs its healthy
+/// system (twice) and its degraded twin; every run tunes both
+/// collectives for each distinct gradient-bucket size. The costs are
+/// the base harness's for every run.
+fn distinct_tuning_keys(base: &Harness, spec: &GridSpec) -> u64 {
+    let mut keys: Vec<(Topology, Ring, u64, bool)> = Vec::new();
+    for cell in spec.cells() {
+        let harness = harness_for(base, cell.platform, cell.fault);
+        let mut systems = vec![harness.sys.clone()];
+        if cell.fault.mid_epoch_fraction().is_some() {
+            systems.push(harness.sys.with_faults(&cell.fault.spec()));
+        }
+        let lowered = cell.workload.definition().lowered(cell.batch).unwrap();
+        // Unfused buckets: every non-empty layer bucket closes one,
+        // empty ones merge into a neighbour without changing its size.
+        let mut sizes: BTreeSet<u64> = lowered
+            .buckets
+            .iter()
+            .map(|b| b.bytes)
+            .filter(|&b| b > 0)
+            .collect();
+        if sizes.is_empty() {
+            sizes.insert(0);
+        }
+        for sys in &systems {
+            let ring = Ring::build(&sys.topo, cell.gpus);
+            for &bytes in &sizes {
+                for all_reduce in [true, false] {
+                    let seen = keys.iter().any(|(t, r, b, ar)| {
+                        wired_alike(t, &sys.topo) && *r == ring && *b == bytes && *ar == all_reduce
+                    });
+                    if !seen {
+                        keys.push((sys.topo.clone(), ring.clone(), bytes, all_reduce));
+                    }
+                }
+            }
+        }
+    }
+    keys.len() as u64
+}
+
+#[test]
+fn every_sweep_path_prices_each_tuning_decision_once_and_agrees() {
+    let (h, spec) = tuned_fault_grid();
+    // Reference: every cell on its own, through the public per-cell
+    // entry point, with a fresh harness and nothing shared.
+    let reference: Vec<EpochReport> = spec
+        .cells()
+        .iter()
+        .map(|cell| {
+            let fresh = harness_for(&h, cell.platform, cell.fault);
+            cell_report(&fresh, &cell.workload.definition(), cell)
+        })
+        .collect();
+    let check = |out: &GridOut<Arc<EpochReport>>, path: &str| {
+        assert_eq!(out.cells(), spec.cells().as_slice(), "{path}");
+        for ((cell, report), want) in out.iter().zip(&reference) {
+            assert_same_report(report, want, &format!("{path}: {cell:?}"));
+        }
+    };
+
+    let keys = distinct_tuning_keys(&h, &spec);
+    for round in ["first", "second"] {
+        let service = GridService::with_executor(h.clone(), Executor::Serial);
+        check(&service.sweep(&spec), &format!("serial service ({round})"));
+        let tuner = service.tuner_stats();
+        assert_eq!(
+            tuner.simulated, keys,
+            "{round} fresh service: one simulation per distinct key"
+        );
+        assert!(
+            tuner.lookups > tuner.simulated,
+            "{round}: no decision was shared"
+        );
+    }
+
+    let parallel = GridService::with_executor(h.clone(), Executor::Parallel { threads: 2 });
+    check(&parallel.sweep(&spec), "2-thread service");
+    let sched = Scheduler::new(
+        Arc::new(GridService::with_executor(h.clone(), Executor::Serial)),
+        SchedConfig::default().workers(2),
+    );
+    check(&sched.sweep(&spec), "async scheduler");
+    sched.shutdown();
+    check(&epoch_reports(&h, &spec, Executor::Serial), "epoch_reports");
+
+    // The paper's singleton space returns before the memo.
+    let paper = GridService::with_executor(Harness::paper(), Executor::Serial);
+    paper.sweep(&experiments::fig3::spec(&Workload::ALL));
+    assert_eq!(paper.tuner_stats().lookups, 0);
+    assert_eq!(paper.tuner_stats().simulated, 0);
 }
