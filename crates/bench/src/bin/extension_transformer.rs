@@ -17,12 +17,12 @@ fn main() {
     let spec = gpt2.spec();
 
     // ---- Part 1: data-parallel, through the service path. ----
-    let front = voltascope_bench::Front::from_env();
+    let service = voltascope_bench::service();
     let grid = GridSpec::paper()
         .workloads([gpt2])
         .batches([8])
         .gpu_counts([1, 2, 4, 8]);
-    let out = front.sweep(&grid);
+    let out = service.sweep(&grid);
     let index = out.index();
     let mut dp = TextTable::new(["GPUs", "P2P iter (s)", "NCCL iter (s)", "WU share P2P (%)"]);
     for gpus in [1usize, 2, 4, 8] {
@@ -88,5 +88,5 @@ fn main() {
         spec.pipeline_stages
     );
     voltascope_bench::emit("Extension: transformer pipeline-parallel", &pp);
-    voltascope_bench::save_service(front.service());
+    voltascope_bench::save_service(&service);
 }

@@ -3,17 +3,14 @@
 //! (mean +/- stddev of 5 repetitions, strong scaling on 256K images).
 //! The sweep is issued through the caching `GridService`, which is
 //! byte-identical to the direct grid path; set `VOLTASCOPE_CACHE` to
-//! warm-start from (and re-save) an on-disk snapshot, and
-//! `VOLTASCOPE_ASYNC=1` to route the sweep through the prioritised
-//! async scheduler (tickets + worker pool) instead of the blocking
-//! path — the output is byte-identical either way.
+//! warm-start from (and re-save) an on-disk snapshot.
 use voltascope::experiments::fig3;
 
 fn main() {
-    let front = voltascope_bench::Front::from_env();
+    let service = voltascope_bench::service();
     let workloads = voltascope_bench::workloads();
-    let out = front.sweep(&fig3::spec(&workloads));
-    let cells = fig3::rows_from(front.service().base(), &out);
+    let out = service.sweep(&fig3::spec(&workloads));
+    let cells = fig3::rows_from(service.base(), &out);
     voltascope_bench::emit("Fig. 3: Training time per epoch (s)", &fig3::render(&cells));
-    voltascope_bench::save_service(front.service());
+    voltascope_bench::save_service(&service);
 }

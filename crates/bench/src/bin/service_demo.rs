@@ -7,14 +7,10 @@
 //! sequentially (each one claims its missing cells before the next
 //! request runs), so the printed table is deterministic for any
 //! `VOLTASCOPE_THREADS` setting: only the intra-request cell
-//! computations are parallel, never the claim accounting. With
-//! `VOLTASCOPE_ASYNC=1` each request travels as a ticket through the
-//! prioritised scheduler's worker pool instead — same reports, same
-//! statistics, byte-identical table.
+//! computations are parallel, never the claim accounting.
 use voltascope::grid::GridSpec;
 use voltascope::service::GridService;
 use voltascope::Harness;
-use voltascope_bench::Front;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
@@ -24,7 +20,7 @@ fn main() {
     // per-request hit/computed accounting *is* this demo's output, and
     // a warm-started cache would turn every row into a hit and change
     // the pinned golden. The cold in-memory stream is the artefact.
-    let front = Front::over(GridService::new(Harness::paper()));
+    let service = GridService::new(Harness::paper());
     // A plausible exploration session: start narrow, widen the batch
     // axis, revisit, then pivot to another workload that shares the
     // communication sweep.
@@ -69,10 +65,10 @@ fn main() {
         "Computed",
         "Cumulative hit rate",
     ]);
-    let mut prev = front.service().stats();
+    let mut prev = service.stats();
     for (name, spec) in &stream {
-        let out = front.sweep(spec);
-        let now = front.service().stats();
+        let out = service.sweep(spec);
+        let now = service.stats();
         table.row([
             name.to_string(),
             out.len().to_string(),
@@ -82,7 +78,7 @@ fn main() {
         ]);
         prev = now;
     }
-    let stats = front.service().stats();
+    let stats = service.stats();
     table.row([
         "TOTAL".to_string(),
         stats.cells.to_string(),

@@ -14,102 +14,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
-use voltascope::grid::{Cell, Executor, GridOut, GridSpec};
-use voltascope::service::sched::{SchedConfig, Scheduler, SubmitOpts};
-use voltascope::service::{persist, GridService};
+use voltascope::grid::Executor;
+use voltascope::service::GridService;
 use voltascope::Harness;
 use voltascope_profile::TextTable;
-use voltascope_train::EpochReport;
 
 /// Environment variable naming the snapshot file the sweep binaries
 /// warm-start from and re-save to. Unset → plain in-memory service.
 pub const CACHE_ENV: &str = "VOLTASCOPE_CACHE";
 
-/// Environment variable switching the ported binaries onto the async
-/// scheduler front end (`1`/anything non-zero). The output is
-/// byte-identical either way — the flag exists so CI can prove it.
-pub const ASYNC_ENV: &str = "VOLTASCOPE_ASYNC";
-
-/// Reads the [`ASYNC_ENV`] opt-in: unset, empty, or `0` means the
-/// blocking path; anything else routes sweeps through the scheduler.
-pub fn async_from_env() -> bool {
-    match std::env::var(ASYNC_ENV) {
-        Err(_) => false,
-        Ok(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        }
-    }
-}
-
-/// The request front end a ported binary issues its sweeps through:
-/// the blocking [`GridService`] by default, or the async
-/// [`Scheduler`] ticket path under `VOLTASCOPE_ASYNC=1`. Both produce
-/// byte-identical reports and (for sequential request streams)
-/// identical service statistics.
-pub enum Front {
-    /// Direct blocking sweeps.
-    Blocking(Arc<GridService>),
-    /// Ticket-based sweeps through the scheduler's worker pool.
-    Async(Scheduler),
-}
-
-impl Front {
-    /// Builds the environment-selected front end over the
-    /// environment-selected service (see [`service`]).
-    pub fn from_env() -> Self {
-        Self::over(service())
-    }
-
-    /// Wraps an explicit service in the environment-selected front
-    /// end. The scheduler's worker count follows `VOLTASCOPE_THREADS`
-    /// (via [`SchedConfig::default`]), mirroring the blocking
-    /// executor selection, and its within-band dispatch order follows
-    /// `VOLTASCOPE_SCHED_ORDER` (default: longest-expected-first by
-    /// [`voltascope::service::sched::cost_rank`]; `fifo` preserves
-    /// admission order — either way
-    /// the output is byte-identical, only the schedule moves).
-    pub fn over(service: GridService) -> Self {
-        let service = Arc::new(service);
-        if async_from_env() {
-            let sched = Scheduler::new(service, SchedConfig::default());
-            eprintln!(
-                "voltascope-bench: async scheduler front end ({} workers)",
-                sched.config().workers
-            );
-            Front::Async(sched)
-        } else {
-            Front::Blocking(service)
-        }
-    }
-
-    /// The underlying service (for stats, snapshots, and the base
-    /// harness renderers post-process with).
-    pub fn service(&self) -> &GridService {
-        match self {
-            Front::Blocking(service) => service,
-            Front::Async(sched) => sched.service(),
-        }
-    }
-
-    /// Runs one sweep through the selected path.
-    pub fn sweep(&self, spec: &GridSpec) -> GridOut<Arc<EpochReport>> {
-        match self {
-            Front::Blocking(service) => service.sweep(spec),
-            Front::Async(sched) => sched.sweep(spec),
-        }
-    }
-
-    /// Runs one trace-guaranteed sweep through the selected path (see
-    /// [`GridService::sweep_traced`]).
-    pub fn sweep_traced(&self, spec: &GridSpec) -> GridOut<Arc<EpochReport>> {
-        match self {
-            Front::Blocking(service) => service.sweep_traced(spec),
-            Front::Async(sched) => sched.sweep_opts(spec, SubmitOpts::default().traced(true)),
-        }
-    }
+/// The [`CACHE_ENV`] snapshot path, if set and non-empty.
+fn cache_path() -> Option<String> {
+    std::env::var(CACHE_ENV)
+        .ok()
+        .filter(|path| !path.is_empty())
 }
 
 /// Builds the [`GridService`] a regeneration binary issues its sweeps
@@ -120,62 +38,33 @@ impl Front {
 /// the golden stdout tables stay byte-identical either way.
 pub fn service() -> GridService {
     let base = Harness::paper();
-    match std::env::var(CACHE_ENV) {
-        Ok(path) if !path.is_empty() => {
+    match cache_path() {
+        Some(path) => {
             let (service, status) = GridService::with_snapshot(base, Executor::from_env(), &path);
             eprintln!("voltascope-bench: cache {path}: {status}");
             service
         }
-        _ => GridService::new(base),
+        None => GridService::new(base),
     }
 }
 
 /// Re-saves the service's cache to the `VOLTASCOPE_CACHE` snapshot (a
 /// no-op when the variable is unset) and reports the request-stream
 /// hit rate plus the lazy trace-decode count on stderr (a warm
-/// table-only run reports `trace decodes 0` — CI asserts it). With
-/// `VOLTASCOPE_CACHE_SLIM=1` the iteration traces are omitted from
-/// the written snapshot (see [`persist::slim_from_env`]). Call once,
-/// after the last sweep.
+/// table-only run reports `trace decodes 0` — CI asserts it). Call
+/// once, after the last sweep.
 pub fn save_service(service: &GridService) {
-    let Ok(path) = std::env::var(CACHE_ENV) else {
+    let Some(path) = cache_path() else {
         return;
     };
-    if path.is_empty() {
-        return;
-    }
-    let slim = persist::slim_from_env();
     let stats = service.stats();
-    match service.save_with(&path, slim) {
+    match service.save(&path) {
         Ok(cells) => eprintln!(
-            "voltascope-bench: saved {cells} cells{} to {path} (request hit rate {:.1}%, trace decodes {})",
-            if slim { " (slim)" } else { "" },
+            "voltascope-bench: saved {cells} cells to {path} (request hit rate {:.1}%, trace decodes {})",
             stats.hit_rate() * 100.0,
             service.trace_decodes()
         ),
         Err(e) => eprintln!("voltascope-bench: failed to save cache {path}: {e}"),
-    }
-}
-
-/// The statically heaviest cell of the full fig3 sweep — Inception-v3
-/// at batch 64 on all 8 GPUs over NCCL — i.e. the sweep's makespan
-/// floor. Under the default cost-ordered dispatch
-/// (`VOLTASCOPE_SCHED_ORDER` unset) the scheduler starts this cell
-/// first, so the longest chain runs while the cheap cells fill in
-/// around it.
-pub fn fig3_heaviest_cell() -> Cell {
-    use voltascope::grid::{FaultScenario, Platform};
-    use voltascope_comm::CommMethod;
-    use voltascope_dnn::zoo::Workload;
-    use voltascope_train::ScalingMode;
-    Cell {
-        workload: Workload::InceptionV3.into(),
-        comm: CommMethod::Nccl,
-        batch: 64,
-        gpus: 8,
-        scaling: ScalingMode::Strong,
-        platform: Platform::Dgx1,
-        fault: FaultScenario::Healthy,
     }
 }
 
@@ -196,31 +85,5 @@ pub fn workloads() -> Vec<voltascope_dnn::zoo::Workload> {
         vec![voltascope_dnn::zoo::Workload::LeNet]
     } else {
         voltascope_dnn::zoo::Workload::ALL.to_vec()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use voltascope::service::sched::cost_rank;
-
-    #[test]
-    fn fig3_heaviest_cell_maximizes_cost_rank_over_the_paper_grid() {
-        let floor = fig3_heaviest_cell();
-        let floor_rank = cost_rank(&floor);
-        for cell in GridSpec::paper().cells() {
-            assert!(
-                cost_rank(&cell) <= floor_rank,
-                "{cell:?} outranks the declared makespan floor"
-            );
-            // Strictly heavier than every cell that differs in the
-            // rank inputs (comm method doesn't enter the rank).
-            let same_rank_inputs = cell.workload == floor.workload
-                && cell.batch == floor.batch
-                && cell.gpus == floor.gpus;
-            if !same_rank_inputs {
-                assert!(cost_rank(&cell) < floor_rank, "{cell:?} ties the floor");
-            }
-        }
     }
 }

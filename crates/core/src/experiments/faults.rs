@@ -75,8 +75,8 @@ pub fn degraded_grid_with(h: &Harness, workloads: &[Workload], exec: Executor) -
 
 /// Runs the degraded-DGX-1 sweep through a caching sweep service. The
 /// idle-percent column walks the iteration traces, so this issues a
-/// *traced* sweep: slim-loaded snapshot entries are recomputed rather
-/// than scanned as fully idle.
+/// *traced* sweep: entries loaded lazily from a snapshot have their
+/// trace blocks decoded rather than being scanned as fully idle.
 pub fn degraded_grid_service(service: &GridService, workloads: &[Workload]) -> Vec<DegradedRow> {
     rows_from(service.sweep_traced(&spec().workloads(workloads.iter().copied())))
         .into_pairs()

@@ -41,8 +41,9 @@ pub fn grid_with(h: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<Vec<Id
 
 /// Computes the per-GPU idle grid through a caching sweep service.
 /// Idle scans walk the iteration traces, so this issues a *traced*
-/// sweep: slim-loaded snapshot entries (which carry no trace) are
-/// recomputed rather than silently scanned as 100% idle.
+/// sweep: entries loaded lazily from a snapshot (whose reports carry
+/// no decoded trace) have their trace blocks decoded rather than being
+/// silently scanned as 100% idle.
 pub fn grid_service(service: &GridService, spec: &GridSpec) -> GridOut<Vec<IdleRow>> {
     rows_from(service.sweep_traced(spec))
 }

@@ -75,26 +75,15 @@
 //! [`persist::load_entries_lazy`]: cells and scalar fields are parsed
 //! eagerly, but each entry's trace block stays *encoded* — a
 //! [`persist::LazyTrace`] window into the snapshot image — until a
-//! trace-consuming request actually touches that cell. Ordinary
-//! (table-only) requests serve lazy entries as hits with empty traces
-//! and never decode a single event; the first traced request decodes
-//! the block under the state lock and upgrades the entry to a full
-//! `Done` in place (counted by [`GridService::trace_decodes`]).
-//! Re-saving an untouched lazy entry copies its encoded block
-//! verbatim, so a warm load-then-save round-trip is byte-identical
-//! without decoding anything.
-//!
-//! ### Slim snapshots
-//!
-//! [`GridService::save_with`] can omit the iteration traces (the bulk
-//! of snapshot size) per the `VOLTASCOPE_CACHE_SLIM` opt-out. Entries
-//! loaded from such a snapshot are held *slim-marked* in the cache:
-//! ordinary requests serve them as hits (every scalar field
-//! round-trips exactly), but trace-consuming requests issued through
-//! [`GridService::sweep_traced`] / [`GridService::run_cells_traced`]
-//! treat a slim entry as missing and recompute the cell, so an idle
-//! scan can never silently render from an empty trace. Recomputation
-//! publishes the full report, upgrading the entry in place.
+//! trace-consuming request ([`GridService::sweep_traced`] /
+//! [`GridService::run_cells_traced`]) actually touches that cell.
+//! Ordinary (table-only) requests serve lazy entries as hits with
+//! empty traces and never decode a single event; the first traced
+//! request decodes the block under the state lock and upgrades the
+//! entry to a full `Done` in place (counted by
+//! [`GridService::trace_decodes`]). Re-saving an untouched lazy entry
+//! copies its encoded block verbatim, so a warm load-then-save
+//! round-trip is byte-identical without decoding anything.
 //!
 //! ## Async front end
 //!
@@ -103,7 +92,8 @@
 //! worker pool, with strict-priority bands, deficit-round-robin
 //! fairness across clients, cancellation, deadlines and backpressure.
 //! Reports flow through the same cache, so the two paths are
-//! byte-identical.
+//! byte-identical (`tests/sched.rs` pins the paper goldens through
+//! it).
 //!
 //! ## Example
 //!
@@ -143,19 +133,14 @@ use persist::PersistError;
 
 /// One cache entry: either being computed by some request right now,
 /// or done and shareable. A claim whose computation panics is removed
-/// entirely (reverted to absent) by its unwind guard. `DoneSlim`
-/// entries were loaded from a slim snapshot: their scalar fields are
-/// exact but the iteration trace is empty, so trace-consuming requests
-/// treat them as missing and recompute (see the module docs).
-/// `DoneLazy` entries were loaded from a full snapshot but their trace
-/// block is still encoded: scalar requests serve them as-is, and the
-/// first traced request decodes the block and upgrades the slot to
-/// `Done` in place.
+/// entirely (reverted to absent) by its unwind guard. `DoneLazy`
+/// entries were loaded from a snapshot but their trace block is still
+/// encoded: scalar requests serve them as-is, and the first traced
+/// request decodes the block and upgrades the slot to `Done` in place.
 #[derive(Debug)]
 enum Slot {
     InFlight,
     Done(Arc<EpochReport>),
-    DoneSlim(Arc<EpochReport>),
     DoneLazy {
         report: Arc<EpochReport>,
         trace: persist::LazyTrace,
@@ -352,11 +337,7 @@ impl GridService {
                 let cells = entries.len();
                 let mut state = service.lock_state();
                 for (cell, report, trace) in entries {
-                    let slot = match trace {
-                        persist::EntryTrace::Slim => Slot::DoneSlim(report),
-                        persist::EntryTrace::Lazy(trace) => Slot::DoneLazy { report, trace },
-                    };
-                    state.cache.insert(cell, slot);
+                    state.cache.insert(cell, Slot::DoneLazy { report, trace });
                 }
                 drop(state);
                 SnapshotStatus::Loaded { cells }
@@ -372,17 +353,6 @@ impl GridService {
     /// fingerprint, with full iteration traces. In-flight claims are
     /// skipped. Returns the number of cells written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
-        self.save_with(path, false)
-    }
-
-    /// Snapshots the cache, optionally slim: when `slim` is true the
-    /// iteration traces are omitted from every written entry (the
-    /// `VOLTASCOPE_CACHE_SLIM` mode — see the module docs). Entries
-    /// that were themselves loaded from a slim snapshot are always
-    /// written slim, whatever `slim` says: their traces are empty
-    /// placeholders, and persisting them as full entries would launder
-    /// a slim entry into one that trace consumers trust.
-    pub fn save_with(&self, path: impl AsRef<Path>, slim: bool) -> Result<usize, PersistError> {
         use persist::TraceOut;
         let entries: Vec<(Cell, Arc<EpochReport>, TraceOut)> = {
             let state = self.lock_state();
@@ -390,26 +360,13 @@ impl GridService {
                 .cache
                 .iter()
                 .filter_map(|(cell, slot)| match slot {
-                    Slot::Done(report) => {
-                        let out = if slim {
-                            TraceOut::Slim
-                        } else {
-                            TraceOut::Events
-                        };
-                        Some((*cell, report.clone(), out))
-                    }
-                    Slot::DoneSlim(report) => Some((*cell, report.clone(), TraceOut::Slim)),
+                    Slot::Done(report) => Some((*cell, report.clone(), TraceOut::Events)),
                     // An undecoded lazy entry re-saves its encoded
                     // block verbatim: byte-identical to a fresh encode
                     // (the decoder only accepts canonical blocks) and
                     // free of any decode cost.
                     Slot::DoneLazy { report, trace } => {
-                        let out = if slim {
-                            TraceOut::Slim
-                        } else {
-                            TraceOut::Raw(trace.clone())
-                        };
-                        Some((*cell, report.clone(), out))
+                        Some((*cell, report.clone(), TraceOut::Raw(trace.clone())))
                     }
                     Slot::InFlight => None,
                 })
@@ -447,10 +404,11 @@ impl GridService {
     }
 
     /// Like [`GridService::sweep`], for consumers that walk the
-    /// iteration traces (idle scans, timeline renders): slim-marked
-    /// cache entries are recomputed instead of served, so every
-    /// returned report carries its full trace. On a service that never
-    /// loaded a slim snapshot this is identical to `sweep`.
+    /// iteration traces (idle scans, timeline renders): entries loaded
+    /// from a snapshot have their trace blocks decoded (once, upgrading
+    /// the entry in place), so every returned report carries its full
+    /// trace. On a service that never loaded a snapshot this is
+    /// identical to `sweep`.
     pub fn sweep_traced(&self, spec: &GridSpec) -> GridOut<Arc<EpochReport>> {
         let cells = spec.cells();
         let reports = self.run_cells_traced(&cells, true);
@@ -462,9 +420,9 @@ impl GridService {
     /// are claimed and computed on this service's executor. Returns one
     /// report per input cell, in input order (duplicates allowed).
     ///
-    /// Slim-marked entries (loaded from a slim snapshot) are served as
-    /// ordinary hits — their scalar fields are exact, only the
-    /// iteration trace is empty. Trace consumers must use
+    /// Entries loaded from a snapshot are served as ordinary hits
+    /// without decoding their traces — their scalar fields are exact,
+    /// only the iteration trace is empty. Trace consumers must use
     /// [`GridService::run_cells_traced`] instead.
     ///
     /// # Panics
@@ -477,9 +435,9 @@ impl GridService {
     }
 
     /// [`GridService::run_cells`] with an explicit trace requirement:
-    /// when `traced` is true, slim-marked entries count as missing and
-    /// are reclaimed and recomputed (publishing the full report, which
-    /// upgrades the cache entry in place).
+    /// when `traced` is true, entries loaded from a snapshot have their
+    /// trace blocks decoded and are upgraded to full reports in place
+    /// (a block that fails to decode is reclaimed and recomputed).
     pub fn run_cells_traced(&self, cells: &[Cell], traced: bool) -> Vec<Arc<EpochReport>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(cells.len() as u64, Ordering::Relaxed);
@@ -515,16 +473,16 @@ impl GridService {
                     Some(Slot::Done(_)) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                     }
-                    Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) if !traced => {
+                    Some(Slot::DoneLazy { .. }) if !traced => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                     }
                     Some(Slot::InFlight) => {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                     }
-                    // A slim (or undecodable lazy) entry cannot serve
-                    // a traced request: reclaim it and recompute the
-                    // full report.
-                    Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => {
+                    // An undecodable lazy entry cannot serve a traced
+                    // request: reclaim it and recompute the full
+                    // report.
+                    Some(Slot::DoneLazy { .. }) | None => {
                         state.cache.insert(cell, Slot::InFlight);
                         claimed_here.insert(cell);
                         let (def, harness) = Self::pools(&mut state, &self.base, cell);
@@ -549,12 +507,7 @@ impl GridService {
         // overlapping requests stream results out of this one.
         self.exec.run(mine.len(), |i| {
             let (cell, def, harness) = &mine[i];
-            let report = Arc::new(grid::cell_report_with(harness, def, cell, &self.tuner));
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            let mut state = self.lock_state();
-            state.cache.insert(*cell, Slot::Done(report.clone()));
-            drop(state);
-            self.ready.notify_all();
+            self.compute_and_publish(*cell, def, harness);
         });
         // Normal path: everything we claimed is published, so the
         // guard's sweep finds nothing to revert. Dropped here, before
@@ -573,20 +526,25 @@ impl GridService {
                 match state.cache.get(cell) {
                     Some(Slot::Done(report)) => break report.clone(),
                     // Only reachable when `!traced` (a traced request
-                    // upgraded or reclaimed every slim/lazy entry in
-                    // its claim phase, and computations always publish
+                    // upgraded or reclaimed every lazy entry in its
+                    // claim phase, and computations always publish
                     // full reports).
-                    Some(Slot::DoneSlim(report) | Slot::DoneLazy { report, .. }) => {
-                        break report.clone()
-                    }
+                    Some(Slot::DoneLazy { report, .. }) => break report.clone(),
                     Some(Slot::InFlight) => {
                         state = self
                             .ready
                             .wait(state)
                             .unwrap_or_else(PoisonError::into_inner);
                     }
+                    // The claimant panicked and reverted its claim:
+                    // adopt the cell and compute it here. A genuinely
+                    // poisonous cell panics again, and the adoption's
+                    // guard reverts this claim too before the panic
+                    // reaches this request's caller.
                     None => {
-                        state = self.adopt_and_compute(state, *cell);
+                        let report = self.claim_and_compute(state, *cell);
+                        state = self.lock_state();
+                        break report;
                     }
                 }
             };
@@ -597,12 +555,12 @@ impl GridService {
 
     /// Answers a single cell for the async scheduler's workers:
     /// claim-or-wait-or-hit with the same single-flight, panic-revert
-    /// and slim semantics as [`GridService::run_cells_traced`], but for
-    /// exactly one cell and reporting *how* it was answered so the
-    /// scheduler can account duplicates by class. Does **not** bump the
-    /// request/cell counters — the scheduler does that at submit time,
-    /// keeping sequential async streams stat-identical to the blocking
-    /// path.
+    /// and lazy-decode semantics as [`GridService::run_cells_traced`],
+    /// but for exactly one cell and reporting *how* it was answered so
+    /// the scheduler can account duplicates by class. Does **not** bump
+    /// the request/cell counters — the scheduler does that at submit
+    /// time, keeping sequential async streams stat-identical to the
+    /// blocking path.
     ///
     /// # Panics
     ///
@@ -623,9 +581,7 @@ impl GridService {
             }
             let served = match state.cache.get(&cell) {
                 Some(Slot::Done(report)) => Some(report.clone()),
-                Some(Slot::DoneSlim(report) | Slot::DoneLazy { report, .. }) if !traced => {
-                    Some(report.clone())
-                }
+                Some(Slot::DoneLazy { report, .. }) if !traced => Some(report.clone()),
                 Some(Slot::InFlight) => {
                     waited = true;
                     state = self
@@ -634,74 +590,62 @@ impl GridService {
                         .unwrap_or_else(PoisonError::into_inner);
                     continue;
                 }
-                // Missing (or slim/undecodable-lazy under a traced
-                // request, or reverted by a panicked claimant while we
-                // waited): claim it.
-                Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => None,
+                // Missing (or undecodable-lazy under a traced request,
+                // or reverted by a panicked claimant while we waited):
+                // claim it.
+                Some(Slot::DoneLazy { .. }) | None => None,
             };
-            if let Some(report) = served {
-                drop(state);
-                // A wait that resolved to a published report was
-                // coalesced onto another thread's computation — the
-                // same class the blocking claim phase assigns when it
-                // observes InFlight under its single lock hold.
-                return if waited {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    (report, CellClass::Coalesced)
-                } else {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (report, CellClass::Hit)
-                };
-            }
-            state.cache.insert(cell, Slot::InFlight);
-            let (def, harness) = Self::pools(&mut state, &self.base, cell);
+            let Some(report) = served else {
+                return (self.claim_and_compute(state, cell), CellClass::Computed);
+            };
             drop(state);
-            let claim = ClaimGuard {
-                service: self,
-                cells: vec![cell],
+            // A wait that resolved to a published report was coalesced
+            // onto another thread's computation — the same class the
+            // blocking claim phase assigns when it observes InFlight
+            // under its single lock hold.
+            return if waited {
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                (report, CellClass::Coalesced)
+            } else {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                (report, CellClass::Hit)
             };
-            // May panic; the guard reverts the claim and wakes waiters
-            // before the unwind reaches the scheduler's catch.
-            let report = Arc::new(grid::cell_report_with(&harness, &def, &cell, &self.tuner));
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut state = self.lock_state();
-                state.cache.insert(cell, Slot::Done(report.clone()));
-            }
-            drop(claim);
-            self.ready.notify_all();
-            return (report, CellClass::Computed);
         }
     }
 
-    /// Claims and computes `cell` from the assemble loop, for the case
-    /// where the original claimant panicked and reverted its claim.
-    /// Takes and returns the state guard; the lock is dropped around
-    /// the computation itself.
-    fn adopt_and_compute<'a>(
-        &'a self,
-        mut state: MutexGuard<'a, State>,
-        cell: Cell,
-    ) -> MutexGuard<'a, State> {
+    /// Claims the absent `cell` under the held state lock, then
+    /// computes and publishes it with the lock released, under a
+    /// one-cell [`ClaimGuard`]: if the simulation panics, the guard
+    /// reverts the claim and wakes waiters before the unwind reaches
+    /// the caller.
+    fn claim_and_compute(&self, mut state: MutexGuard<'_, State>, cell: Cell) -> Arc<EpochReport> {
         state.cache.insert(cell, Slot::InFlight);
         let (def, harness) = Self::pools(&mut state, &self.base, cell);
         drop(state);
-        let claim = ClaimGuard {
+        let _claim = ClaimGuard {
             service: self,
             cells: vec![cell],
         };
-        // May panic for a genuinely poisonous cell, in which case the
-        // guard reverts this adoption too and the panic propagates to
-        // this request's caller.
-        let report = Arc::new(grid::cell_report_with(&harness, &def, &cell, &self.tuner));
+        self.compute_and_publish(cell, &def, &harness)
+    }
+
+    /// Computes one cell the caller has claimed, with the state lock
+    /// *not* held, then publishes the report as `Done` and wakes every
+    /// waiter. The one compute path of the service: the caller's
+    /// [`ClaimGuard`] covers the claim in case the simulation panics.
+    fn compute_and_publish(
+        &self,
+        cell: Cell,
+        def: &Definition,
+        harness: &Harness,
+    ) -> Arc<EpochReport> {
+        let report = Arc::new(grid::cell_report_with(harness, def, &cell, &self.tuner));
         self.computed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = self.lock_state();
-            state.cache.insert(cell, Slot::Done(report));
-        }
-        drop(claim);
-        self.ready.notify_all();
         self.lock_state()
+            .cache
+            .insert(cell, Slot::Done(report.clone()));
+        self.ready.notify_all();
+        report
     }
 
     /// Decodes a lazy entry's trace block and upgrades its slot to a
@@ -1080,81 +1024,6 @@ mod tests {
             SnapshotStatus::Rejected(PersistError::FingerprintMismatch { .. })
         ));
         assert_eq!(service.cached_cells(), 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn slim_snapshot_serves_scalars_but_recomputes_for_traces() {
-        let path = std::env::temp_dir().join(format!(
-            "voltascope-service-slim-{}.snap",
-            std::process::id()
-        ));
-        let cells = [lenet_cell(16, 1), lenet_cell(16, 2)];
-
-        let cold = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let cold_reports = cold.run_cells(&cells);
-        assert!(cold_reports
-            .iter()
-            .all(|r| !r.iter_trace.events().is_empty()));
-        cold.save_with(&path, true).unwrap();
-
-        // Ordinary requests: pure hits, exact scalars, empty traces.
-        let (warm, status) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &path);
-        assert!(matches!(status, SnapshotStatus::Loaded { cells: 2 }));
-        let warm_reports = warm.run_cells(&cells);
-        for (c, w) in cold_reports.iter().zip(warm_reports.iter()) {
-            assert_eq!(c.iterations, w.iterations);
-            assert_eq!(c.epoch_time, w.epoch_time);
-            assert_eq!(c.iter_time, w.iter_time);
-            assert_eq!(c.api_iter, w.api_iter);
-            assert_eq!(
-                c.compute_utilization.to_bits(),
-                w.compute_utilization.to_bits()
-            );
-            assert!(w.iter_trace.events().is_empty());
-        }
-        assert_eq!(warm.stats().computed, 0);
-        assert_eq!(warm.stats().hits, 2);
-
-        // Traced requests: slim entries are recomputed, full traces
-        // come back, and the cache entry is upgraded in place.
-        let traced = warm.run_cells_traced(&cells, true);
-        assert_eq!(warm.stats().computed, 2, "slim entries recomputed");
-        for (c, t) in cold_reports.iter().zip(traced.iter()) {
-            assert_eq!(c.iter_trace.events(), t.iter_trace.events());
-        }
-        let again = warm.run_cells_traced(&cells, true);
-        assert_eq!(warm.stats().computed, 2, "upgrade persists: no recompute");
-        assert!(Arc::ptr_eq(&traced[0], &again[0]));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resaving_a_slim_loaded_cache_stays_slim() {
-        let path = std::env::temp_dir().join(format!(
-            "voltascope-service-reslim-{}.snap",
-            std::process::id()
-        ));
-        let cold = GridService::with_executor(Harness::paper(), Executor::Serial);
-        cold.run_cells(&[lenet_cell(16, 1)]);
-        cold.save_with(&path, true).unwrap();
-
-        // A full (slim = false) re-save of slim-loaded entries must not
-        // launder empty placeholder traces into trusted full entries.
-        let (warm, _) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &path);
-        warm.save_with(&path, false).unwrap();
-        let (again, status) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &path);
-        assert!(matches!(status, SnapshotStatus::Loaded { cells: 1 }));
-        let traced = again.sweep_traced(
-            &GridSpec::paper()
-                .workloads([Workload::LeNet])
-                .comms([CommMethod::P2p])
-                .batches([16])
-                .gpu_counts([1]),
-        );
-        assert_eq!(again.stats().computed, 1, "still treated as slim");
-        let report = traced.get(&lenet_cell(16, 1)).unwrap();
-        assert!(!report.iter_trace.events().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 

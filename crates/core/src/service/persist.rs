@@ -23,8 +23,8 @@
 //!
 //! Each entry is the cell key (enum tags as `u8`, batch/GPU count as
 //! `u64`) followed by the [`EpochReport`] — stage timings, the
-//! per-category API totals, and (unless the entry is *slim*, below) the
-//! complete steady-state iteration trace as a *compact trace block*.
+//! per-category API totals, and the complete steady-state iteration
+//! trace as a *compact trace block* behind a one-byte tag (below).
 //! Entries are stored sorted by their encoded cell key, so the snapshot
 //! bytes are a canonical function of the cache *contents*, independent
 //! of insertion order: save → load → re-save is byte-identical.
@@ -79,23 +79,15 @@
 //! untouched entry copies the encoded block verbatim
 //! ([`TraceOut::Raw`]), preserving byte-identity without a decode.
 //!
-//! ## Slim entries (`VOLTASCOPE_CACHE_SLIM=1`)
+//! ## The trace tag byte
 //!
-//! Each entry carries a one-byte trace flag: `1` means a compact trace
-//! block follows, `0` means the trace was deliberately omitted at save
-//! time. [`slim_from_env`] reads the `VOLTASCOPE_CACHE_SLIM` opt-out
-//! the sweep binaries honour via
-//! [`GridService::save_with`](super::GridService::save_with).
-//!
-//! A slim entry still round-trips every *scalar* field exactly — epoch
-//! and iteration times, FP+BP/WU splits, API totals, sync share,
-//! utilisation — so any table derived from those fields is
-//! byte-identical whether it was served from a slim or a full
-//! snapshot. What a slim entry **cannot** serve is a request that
-//! walks the iteration trace (idle scans, timeline renders, the fault
-//! sweep's idle deltas): the loading service marks slim entries
-//! distinctly and trace-needing requests recompute them instead of
-//! silently rendering from an empty trace (see the service docs).
+//! Every entry's trace block is preceded by a one-byte tag, always
+//! `1`. Format v2 added the tag so *slim* entries (tag `0`) could omit
+//! the trace; slim snapshots are retired, and the v5 layout keeps the
+//! byte so existing files stay readable without a version bump. A tag
+//! other than `1` is [`PersistError::Corrupted`]`("unknown trace tag")`,
+//! which the warm-start path treats like any rejected file: a cold
+//! recompute.
 //!
 //! ## Staleness policy
 //!
@@ -139,13 +131,13 @@ pub const MAGIC: [u8; 8] = *b"VSCPSNAP";
 /// any simulator-semantics change not captured by the harness
 /// fingerprint (see the module docs' staleness policy).
 ///
-/// Version history: 1 — initial format; 2 — per-entry trace-presence
-/// flag (slim snapshots); 3 — data workloads (tag 5 + spec name; zoo
-/// tags 0..=4 unchanged); 4 — per-report critical chain (count +
-/// length-prefixed labels, after the utilization field); 5 — compact
-/// trace blocks (length-prefixed, varint-encoded, front-coded interned
-/// strings, delta timestamps, LZSS-compressed) enabling lazy per-entry
-/// decode.
+/// Version history: 1 — initial format; 2 — per-entry trace tag
+/// (slim snapshots, since retired: only tag `1` is read); 3 — data
+/// workloads (tag 5 + spec name; zoo tags 0..=4 unchanged); 4 —
+/// per-report critical chain (count + length-prefixed labels, after
+/// the utilization field); 5 — compact trace blocks (length-prefixed,
+/// varint-encoded, front-coded interned strings, delta timestamps,
+/// LZSS-compressed) enabling lazy per-entry decode.
 ///
 /// Strictly additive tag values (new fault scenarios, platforms or
 /// workloads appended past the existing range) do **not** bump the
@@ -153,30 +145,6 @@ pub const MAGIC: [u8; 8] = *b"VSCPSNAP";
 /// tag fails loudly as `Corrupted`, which the load path treats as a
 /// cold cache.
 pub const FORMAT_VERSION: u32 = 5;
-
-/// Environment variable that opts snapshot saves out of persisting the
-/// steady-state iteration traces. Read by the sweep binaries, not by
-/// the library: explicit callers pass the flag to
-/// [`encode_entries`]/[`save_entries`] or
-/// [`GridService::save_with`](super::GridService::save_with).
-pub const SLIM_ENV: &str = "VOLTASCOPE_CACHE_SLIM";
-
-/// Reads the [`SLIM_ENV`] opt-out: unset, empty, or a conventional
-/// falsy token (`0`, `false`, `off`, `no` — case-insensitive) means
-/// full snapshots; anything else enables slim mode.
-pub fn slim_from_env() -> bool {
-    match std::env::var(SLIM_ENV) {
-        Err(_) => false,
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v.eq_ignore_ascii_case("0")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("no"))
-        }
-    }
-}
 
 /// Size of the fixed header preceding the payload.
 const HEADER_LEN: usize = 44;
@@ -271,31 +239,14 @@ pub fn harness_fingerprint(harness: &Harness) -> u64 {
     fnv1a(format!("{harness:?}").as_bytes())
 }
 
-/// Encodes `entries` as a complete full-fat snapshot byte image for
-/// `fingerprint` (every iteration trace persisted). Shorthand for
-/// [`encode_entries`] with `slim = false` on every entry.
+/// Encodes `entries` as a complete snapshot byte image for
+/// `fingerprint`, encoding every report's in-memory iteration trace.
+/// Shorthand for [`encode_with_traces`] with [`TraceOut::Events`] on
+/// every entry.
 pub fn encode(fingerprint: u64, entries: &[(Cell, Arc<EpochReport>)]) -> Vec<u8> {
-    let with_flags: Vec<(Cell, Arc<EpochReport>, bool)> = entries
-        .iter()
-        .map(|(c, r)| (*c, r.clone(), false))
-        .collect();
-    encode_entries(fingerprint, &with_flags)
-}
-
-/// Encodes `entries` with a per-entry slim flag: `true` omits that
-/// entry's iteration trace from the payload (see the module docs'
-/// slim-entries section).
-pub fn encode_entries(fingerprint: u64, entries: &[(Cell, Arc<EpochReport>, bool)]) -> Vec<u8> {
     let with_traces: Vec<(Cell, Arc<EpochReport>, TraceOut)> = entries
         .iter()
-        .map(|(c, r, slim)| {
-            let out = if *slim {
-                TraceOut::Slim
-            } else {
-                TraceOut::Events
-            };
-            (*c, r.clone(), out)
-        })
+        .map(|(c, r)| (*c, r.clone(), TraceOut::Events))
         .collect();
     encode_with_traces(fingerprint, &with_traces)
 }
@@ -303,8 +254,6 @@ pub fn encode_entries(fingerprint: u64, entries: &[(Cell, Arc<EpochReport>, bool
 /// How one entry's iteration trace reaches a snapshot being written.
 #[derive(Debug, Clone)]
 pub enum TraceOut {
-    /// Omit the trace (a slim entry).
-    Slim,
     /// Encode the report's in-memory events as a compact trace block.
     Events,
     /// Copy an already-encoded block verbatim from a loaded snapshot,
@@ -315,8 +264,7 @@ pub enum TraceOut {
 }
 
 /// Encodes `entries` with an explicit per-entry trace source — the
-/// most general encode front end ([`encode`] and [`encode_entries`]
-/// are shorthands onto it).
+/// most general encode front end ([`encode`] is a shorthand onto it).
 ///
 /// Entries are canonicalised (sorted by encoded cell key) before
 /// writing, so any permutation of the same cache encodes to identical
@@ -354,43 +302,23 @@ pub fn encode_with_traces(
     out
 }
 
-/// Decodes a snapshot byte image, dropping the per-entry slim flags
-/// (a slim entry decodes to a report with an empty iteration trace).
-/// Use [`decode_entries`] when the flags matter.
-pub fn decode(
-    bytes: &[u8],
-    expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>)>, PersistError> {
-    Ok(decode_entries(bytes, expected_fingerprint)?
-        .into_iter()
-        .map(|(cell, report, _)| (cell, report))
-        .collect())
-}
-
 /// Decodes a snapshot byte image, validating magic, version,
 /// fingerprint, length and checksum before touching the payload.
-/// The third tuple element is the entry's slim flag: `true` means the
-/// iteration trace was omitted at save time (the decoded report
-/// carries an empty trace).
 ///
 /// This is the *eager* front end: every trace block is decoded into
 /// events up front, so the whole payload is structurally validated.
 /// The warm-start service uses [`load_entries_lazy`] instead.
-pub fn decode_entries(
+pub fn decode(
     bytes: &[u8],
     expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>, bool)>, PersistError> {
+) -> Result<Vec<(Cell, Arc<EpochReport>)>, PersistError> {
     let image: Arc<[u8]> = bytes.to_vec().into();
     decode_entries_lazy(&image, expected_fingerprint)?
         .into_iter()
-        .map(|(cell, report, trace)| match trace {
-            EntryTrace::Slim => Ok((cell, report, true)),
-            EntryTrace::Lazy(block) => {
-                let events = block.decode()?;
-                let mut full = (*report).clone();
-                full.iter_trace = Trace::new(events);
-                Ok((cell, Arc::new(full), false))
-            }
+        .map(|(cell, report, block)| {
+            let mut full = (*report).clone();
+            full.iter_trace = Trace::new(block.decode()?);
+            Ok((cell, Arc::new(full)))
         })
         .collect()
 }
@@ -434,15 +362,6 @@ impl fmt::Debug for LazyTrace {
             .field("len", &self.len)
             .finish()
     }
-}
-
-/// How a lazily-loaded entry holds its iteration trace.
-#[derive(Debug, Clone)]
-pub enum EntryTrace {
-    /// The trace was omitted when the snapshot was saved.
-    Slim,
-    /// The trace is present but still encoded, awaiting first use.
-    Lazy(LazyTrace),
 }
 
 /// Validates the fixed header and returns the entry count; the caller
@@ -490,12 +409,12 @@ fn validate_header(bytes: &[u8], expected_fingerprint: u64) -> Result<u64, Persi
 /// parsed eagerly (and the payload is checksum-validated as a whole),
 /// but each trace block stays encoded as a [`LazyTrace`] window into
 /// `image`. The returned reports carry *empty* `iter_trace`s — trace
-/// consumers decode through the [`EntryTrace`] when (and only when)
-/// they touch a cell.
+/// consumers decode the [`LazyTrace`] when (and only when) they touch
+/// a cell.
 pub fn decode_entries_lazy(
     image: &Arc<[u8]>,
     expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>, EntryTrace)>, PersistError> {
+) -> Result<Vec<(Cell, Arc<EpochReport>, LazyTrace)>, PersistError> {
     let count = validate_header(image, expected_fingerprint)?;
     let payload = &image[HEADER_LEN..];
     let mut r = Reader {
@@ -510,18 +429,15 @@ pub fn decode_entries_lazy(
             return Err(PersistError::Corrupted("duplicate cell entry"));
         }
         let report = take_report_scalars(&mut r)?;
-        let trace = match r.u8()? {
-            0 => EntryTrace::Slim,
-            1 => {
-                let len = r.u32()? as usize;
-                r.take(len)?;
-                EntryTrace::Lazy(LazyTrace {
-                    image: image.clone(),
-                    offset: HEADER_LEN + r.pos - len,
-                    len,
-                })
-            }
-            _ => return Err(PersistError::Corrupted("unknown trace tag")),
+        if r.u8()? != 1 {
+            return Err(PersistError::Corrupted("unknown trace tag"));
+        }
+        let len = r.u32()? as usize;
+        r.take(len)?;
+        let trace = LazyTrace {
+            image: image.clone(),
+            offset: HEADER_LEN + r.pos - len,
+            len,
         };
         entries.push((cell, Arc::new(report), trace));
     }
@@ -536,12 +452,12 @@ pub fn decode_entries_lazy(
 pub fn load_entries_lazy(
     path: &Path,
     expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>, EntryTrace)>, PersistError> {
+) -> Result<Vec<(Cell, Arc<EpochReport>, LazyTrace)>, PersistError> {
     let image: Arc<[u8]> = fs::read(path)?.into();
     decode_entries_lazy(&image, expected_fingerprint)
 }
 
-/// Writes a full-fat snapshot atomically (see [`save_entries`]).
+/// Writes a snapshot atomically (see [`save_with_traces`]).
 pub fn save(
     path: &Path,
     fingerprint: u64,
@@ -550,21 +466,11 @@ pub fn save(
     write_atomic(path, &encode(fingerprint, entries))
 }
 
-/// Writes a snapshot with per-entry slim flags atomically: the image
-/// is assembled in memory, written to a `.tmp` sibling, and renamed
-/// into place, so a crash mid-save can never leave a half-written
-/// snapshot behind (a torn write would be rejected by the checksum
-/// anyway).
-pub fn save_entries(
-    path: &Path,
-    fingerprint: u64,
-    entries: &[(Cell, Arc<EpochReport>, bool)],
-) -> Result<(), PersistError> {
-    write_atomic(path, &encode_entries(fingerprint, entries))
-}
-
 /// Writes a snapshot with explicit per-entry trace sources atomically
-/// (see [`encode_with_traces`] and [`save_entries`]).
+/// (see [`encode_with_traces`]): the image is assembled in memory,
+/// written to a `.tmp` sibling, and renamed into place, so a crash
+/// mid-save can never leave a half-written snapshot behind (a torn
+/// write would be rejected by the checksum anyway).
 pub fn save_with_traces(
     path: &Path,
     fingerprint: u64,
@@ -582,8 +488,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Reads and decodes the snapshot at `path`, dropping slim flags. A
-/// missing file surfaces as `PersistError::Io` with
+/// Reads and eagerly decodes the snapshot at `path` (see [`decode`]).
+/// A missing file surfaces as `PersistError::Io` with
 /// [`PersistError::is_missing_file`] true.
 pub fn load(
     path: &Path,
@@ -591,16 +497,6 @@ pub fn load(
 ) -> Result<Vec<(Cell, Arc<EpochReport>)>, PersistError> {
     let bytes = fs::read(path)?;
     decode(&bytes, expected_fingerprint)
-}
-
-/// Reads and decodes the snapshot at `path`, keeping per-entry slim
-/// flags.
-pub fn load_entries(
-    path: &Path,
-    expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>, bool)>, PersistError> {
-    let bytes = fs::read(path)?;
-    decode_entries(&bytes, expected_fingerprint)
 }
 
 /// FNV-1a over a byte slice — the workspace's standard dependency-free
@@ -919,13 +815,11 @@ fn put_report(out: &mut Vec<u8>, report: &EpochReport, trace: &TraceOut) {
         put_str(out, label);
     }
     let block = match trace {
-        TraceOut::Slim => {
-            put_u8(out, 0);
-            return;
-        }
         TraceOut::Events => encode_trace_block(report.iter_trace.events()),
         TraceOut::Raw(lazy) => lazy.raw().to_vec(),
     };
+    // The trace tag: always 1, kept so the v5 layout is unchanged (see
+    // the module docs).
     put_u8(out, 1);
     put_u32(out, block.len() as u32);
     out.extend_from_slice(&block);
@@ -1160,7 +1054,7 @@ fn take_cell(r: &mut Reader<'_>) -> Result<Cell, PersistError> {
     })
 }
 
-/// Reads every scalar report field, stopping *before* the trace flag;
+/// Reads every scalar report field, stopping *before* the trace tag;
 /// the returned report carries an empty `iter_trace` (the caller
 /// attaches the trace eagerly or lazily).
 fn take_report_scalars(r: &mut Reader<'_>) -> Result<EpochReport, PersistError> {
@@ -1366,126 +1260,25 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn flagged(slims: &[bool]) -> Vec<(Cell, Arc<EpochReport>, bool)> {
-        entries()
-            .into_iter()
-            .zip(slims.iter().copied())
-            .map(|((c, r), s)| (c, r, s))
-            .collect()
-    }
-
-    #[test]
-    fn slim_entries_roundtrip_scalars_and_drop_traces() {
-        let fp = 0x515a;
-        let bytes = encode_entries(fp, &flagged(&[true, false, true]));
-        let decoded = decode_entries(&bytes, fp).unwrap();
-        assert_eq!(decoded.len(), 3);
-        for ((c0, r0), (c1, r1, slim)) in entries().iter().zip(decoded.iter()) {
-            assert_eq!(c0, c1);
-            assert_eq!(r0.iterations, r1.iterations);
-            assert_eq!(r0.iter_time, r1.iter_time);
-            assert_eq!(r0.epoch_time, r1.epoch_time);
-            assert_eq!(r0.fp_bp_iter, r1.fp_bp_iter);
-            assert_eq!(r0.wu_iter, r1.wu_iter);
-            assert_eq!(r0.api_iter, r1.api_iter);
-            assert_eq!(r0.sync_wall_iter, r1.sync_wall_iter);
-            assert_eq!(
-                r0.compute_utilization.to_bits(),
-                r1.compute_utilization.to_bits()
-            );
-            if *slim {
-                assert!(r1.iter_trace.events().is_empty());
-            } else {
-                assert_eq!(r0.iter_trace.events(), r1.iter_trace.events());
-            }
-        }
-        assert_eq!(
-            decoded.iter().map(|(_, _, s)| *s).collect::<Vec<_>>(),
-            vec![true, false, true]
-        );
-    }
-
-    #[test]
-    fn slim_snapshot_is_smaller_than_full() {
-        let fp = 3;
-        let full = encode_entries(fp, &flagged(&[false, false, false]));
-        let slim = encode_entries(fp, &flagged(&[true, true, true]));
-        assert!(slim.len() < full.len());
-    }
-
-    #[test]
-    fn slim_resave_is_byte_identical() {
-        let fp = 17;
-        let bytes = encode_entries(fp, &flagged(&[true, false, true]));
-        let decoded = decode_entries(&bytes, fp).unwrap();
-        assert_eq!(bytes, encode_entries(fp, &decoded));
-    }
-
     #[test]
     fn unknown_trace_tag_is_corruption_not_panic() {
-        // Flip the trace-presence flag of the first (and only) entry to
-        // an undefined value, refreshing the checksum so corruption is
-        // caught by the structural check, not the hash.
-        let one = vec![(cell(16, 1), report(4), true)];
-        let mut bytes = encode_entries(1, &one);
-        let flag_pos = bytes.len() - 1; // slim flag is the final payload byte
-        assert_eq!(bytes[flag_pos], 0);
-        bytes[flag_pos] = 9;
+        // Flip the trace tag of the first (and only) entry to an
+        // undefined value, refreshing the checksum so corruption is
+        // caught by the structural check, not the hash. The tag sits
+        // just before the entry's length-prefixed trace block, which
+        // ends the payload.
+        let report = report(4);
+        let block_len = encode_trace_block(report.iter_trace.events()).len();
+        let mut bytes = encode(1, &[(cell(16, 1), report)]);
+        let tag_pos = bytes.len() - block_len - 5;
+        assert_eq!(bytes[tag_pos], 1);
+        bytes[tag_pos] = 9;
         let sum = fnv1a(&bytes[HEADER_LEN..]);
         bytes[36..44].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            decode_entries(&bytes, 1),
+            decode(&bytes, 1),
             Err(PersistError::Corrupted("unknown trace tag"))
         ));
-    }
-
-    #[test]
-    fn every_slim_truncation_is_rejected_without_panicking() {
-        let bytes = encode_entries(1, &flagged(&[true, false, true]));
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_entries(&bytes[..cut], 1).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn slim_env_parsing() {
-        // Sequential mutation of one env var; no other test in this
-        // binary reads SLIM_ENV (the library never consults the
-        // environment — only the bench front end does).
-        for (val, want) in [
-            (Some("1"), true),
-            (Some("true"), true),
-            (Some(" 1 "), true),
-            (Some("yes"), true),
-            (Some("on"), true),
-            (Some("0"), false),
-            (Some(""), false),
-            (Some("  "), false),
-            (None, false),
-            // Conventional falsy tokens disable slim mode; the old
-            // parser treated anything non-empty and non-"0"/"false"
-            // as enabled, so VOLTASCOPE_CACHE_SLIM=off turned it ON.
-            (Some("false"), false),
-            (Some("False"), false),
-            (Some("FALSE"), false),
-            (Some("off"), false),
-            (Some("Off"), false),
-            (Some("OFF"), false),
-            (Some("no"), false),
-            (Some("No"), false),
-            (Some("NO"), false),
-            (Some(" off "), false),
-        ] {
-            match val {
-                Some(v) => std::env::set_var(SLIM_ENV, v),
-                None => std::env::remove_var(SLIM_ENV),
-            }
-            assert_eq!(slim_from_env(), want, "value {val:?}");
-        }
-        std::env::remove_var(SLIM_ENV);
     }
 
     #[test]

@@ -31,11 +31,10 @@
 //! a static cost rank ([`cost_rank`]: workload weight × batch × GPU
 //! count), so the heaviest cell of a sweep — the makespan floor, e.g.
 //! Inception-v3 at batch 64 on 8 GPUs — starts computing immediately
-//! instead of landing behind dozens of LeNet cells. Set
-//! [`ORDER_ENV`] (`VOLTASCOPE_SCHED_ORDER=fifo`) or
-//! [`SchedConfig::cost_order`] to restore pure admission order.
-//! Results are unaffected either way — reports are keyed by cell and
-//! the cache is single-flight — only the completion *schedule* moves.
+//! instead of landing behind dozens of LeNet cells. Equal ranks keep
+//! admission order. Results do not depend on the order — reports are
+//! keyed by cell and the cache is single-flight — only the completion
+//! *schedule* does.
 //!
 //! Workers drain the banded queue through per-worker *slices*: a
 //! worker with nothing claimed refills its slice with up to one
@@ -78,8 +77,8 @@
 //! cancels, deadline expiries — also counted in `expired` — panics —
 //! also counted in `failed` — and shutdown drops). A sequential
 //! submit-and-wait stream produces *identical* [`ServiceStats`] to the
-//! same stream through [`GridService::run_cells`], which is what keeps
-//! the async `service_demo` golden byte-identical.
+//! same stream through [`GridService::run_cells`]; `tests/sched.rs`
+//! pins that, and the paper goldens, against the blocking path.
 //!
 //! ## Example
 //!
@@ -142,25 +141,6 @@ impl Priority {
     }
 }
 
-/// Environment variable selecting the within-band dispatch order.
-/// `fifo` (case-insensitive) preserves pure admission order; unset or
-/// any other value keeps the default longest-expected-first cost
-/// order (see [`cost_rank`]).
-pub const ORDER_ENV: &str = "VOLTASCOPE_SCHED_ORDER";
-
-/// Reads [`ORDER_ENV`]: `true` (cost order) unless the variable is
-/// set to `fifo`.
-pub fn cost_order_from_env() -> bool {
-    cost_order_token(std::env::var(ORDER_ENV).ok().as_deref())
-}
-
-fn cost_order_token(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !v.trim().eq_ignore_ascii_case("fifo"),
-        None => true,
-    }
-}
-
 /// Static cost rank of a cell: a relative-workload weight (calibrated
 /// against the simulated epoch times of the zoo CNNs — LeNet lightest,
 /// VGG-16 heaviest) scaled by batch size and GPU count. Used by the
@@ -200,11 +180,6 @@ pub struct SchedConfig {
     /// dequeue from a band before the next client is served. Also the
     /// refill size of a worker's slice.
     pub quantum: usize,
-    /// When true (the default unless [`ORDER_ENV`] says `fifo`), each
-    /// client's queue within a band is kept longest-expected-first by
-    /// [`cost_rank`]; when false, admission order is preserved.
-    /// Results are identical either way — only the schedule moves.
-    pub cost_order: bool,
 }
 
 impl Default for SchedConfig {
@@ -213,7 +188,6 @@ impl Default for SchedConfig {
             workers: Executor::from_env().threads(),
             max_depth: 4096,
             quantum: 8,
-            cost_order: cost_order_from_env(),
         }
     }
 }
@@ -236,13 +210,6 @@ impl SchedConfig {
         self.quantum = quantum.max(1);
         self
     }
-
-    /// Enables or disables longest-expected-first ordering within a
-    /// client's band queue.
-    pub fn cost_order(mut self, cost_order: bool) -> Self {
-        self.cost_order = cost_order;
-        self
-    }
 }
 
 /// Per-submit options: priority band, client identity (the fairness
@@ -260,7 +227,7 @@ pub struct SubmitOpts {
     /// [`TicketError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
     /// When true, reports are guaranteed to carry their iteration
-    /// traces (slim snapshot entries are recomputed — see
+    /// traces (entries loaded from a snapshot are decoded — see
     /// [`GridService::run_cells_traced`]).
     pub traced: bool,
 }
@@ -569,11 +536,12 @@ struct Item {
     enqueued: Instant,
 }
 
-/// One priority band: per-client FIFO queues served by deficit
-/// round-robin. Invariant: `active` lists exactly the clients with a
-/// non-empty queue, in service order; `deficit` holds the head
-/// client's remaining quantum (entries for other clients are absent —
-/// a client re-arrives with a fresh quantum).
+/// One priority band: per-client queues, each kept
+/// longest-expected-first, served by deficit round-robin. Invariant:
+/// `active` lists exactly the clients with a non-empty queue, in
+/// service order; `deficit` holds the head client's remaining quantum
+/// (entries for other clients are absent — a client re-arrives with a
+/// fresh quantum).
 #[derive(Debug, Default)]
 struct Band {
     queues: HashMap<u64, VecDeque<Item>>,
@@ -582,32 +550,19 @@ struct Band {
 }
 
 impl Band {
-    /// Admits an item. With `cost_order`, the client's queue is kept
-    /// sorted by descending [`cost_rank`] (admission order breaks
-    /// ties, so equal-rank items stay FIFO); otherwise the item is
-    /// appended.
-    fn push(&mut self, item: Item, cost_order: bool) {
+    /// Admits an item, keeping the client's queue sorted by descending
+    /// [`cost_rank`] (admission order breaks ties, so equal-rank items
+    /// stay FIFO).
+    fn push(&mut self, item: Item) {
         let client = item.ticket.client;
         let queue = self.queues.entry(client).or_default();
         if queue.is_empty() {
             self.active.push_back(client);
         }
-        if cost_order {
-            // Binary search for the first strictly-lower rank; equal
-            // ranks insert after, preserving admission order.
-            let (mut lo, mut hi) = (0, queue.len());
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if queue[mid].rank >= item.rank {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            queue.insert(lo, item);
-        } else {
-            queue.push_back(item);
-        }
+        // The first strictly-lower rank; equal ranks insert after,
+        // preserving admission order.
+        let at = queue.partition_point(|queued| queued.rank >= item.rank);
+        queue.insert(at, item);
     }
 
     /// Dequeues the next item under deficit round-robin: the head
@@ -671,8 +626,6 @@ struct WorkQueue {
     shutdown: bool,
     /// Admission counter feeding [`Item::seq`].
     seq: u64,
-    /// Within-band dispatch order (see [`SchedConfig::cost_order`]).
-    cost_order: bool,
     /// Per-worker claimed runs of items: a worker refills its slice
     /// with up to one quantum from the banded queue and drains it
     /// front-to-back; idle siblings steal from the back.
@@ -686,14 +639,13 @@ impl WorkQueue {
             depth: 0,
             shutdown: false,
             seq: 0,
-            cost_order: cfg.cost_order,
             slices: (0..cfg.workers.max(1)).map(|_| VecDeque::new()).collect(),
         }
     }
 
     fn push(&mut self, item: Item) {
         let band = item.ticket.priority.band();
-        self.bands[band].push(item, self.cost_order);
+        self.bands[band].push(item);
         self.depth += 1;
     }
 
@@ -1343,13 +1295,13 @@ mod tests {
         item_for(ticket, seq, lenet_cell(seq as usize + 1, 1))
     }
 
-    fn queue_with(cost_order: bool) -> WorkQueue {
-        WorkQueue::new(&SchedConfig::default().workers(2).cost_order(cost_order))
+    fn queue() -> WorkQueue {
+        WorkQueue::new(&SchedConfig::default().workers(2))
     }
 
     #[test]
     fn drr_alternates_between_clients_in_quantum_bursts() {
-        let mut queue = queue_with(false);
+        let mut queue = queue();
         let a = bare_ticket(1, Priority::Normal);
         let b = bare_ticket(2, Priority::Normal);
         // Interleave admission; DRR must still serve quantum-sized
@@ -1366,7 +1318,7 @@ mod tests {
 
     #[test]
     fn drr_drops_deficit_when_a_client_empties() {
-        let mut queue = queue_with(false);
+        let mut queue = queue();
         let a = bare_ticket(1, Priority::Normal);
         let b = bare_ticket(2, Priority::Normal);
         queue.push(item(&a, 0)); // one item only
@@ -1383,7 +1335,7 @@ mod tests {
 
     #[test]
     fn strict_priority_overtakes_and_flags_preemption() {
-        let mut queue = queue_with(true);
+        let mut queue = queue();
         let low = bare_ticket(1, Priority::Low);
         let high = bare_ticket(2, Priority::High);
         let normal = bare_ticket(3, Priority::Normal);
@@ -1436,19 +1388,36 @@ mod tests {
         }
     }
 
+    /// The statically heaviest cell of the full fig3 sweep — Inception-v3
+    /// at batch 64 on all 8 GPUs over NCCL — i.e. the sweep's makespan
+    /// floor, which cost-ordered dispatch starts first.
+    fn fig3_heaviest_cell() -> Cell {
+        cell_of(Workload::InceptionV3, 64, 8)
+    }
+
     #[test]
-    fn sched_order_env_tokens() {
-        assert!(cost_order_token(None), "unset means cost order");
-        assert!(!cost_order_token(Some("fifo")));
-        assert!(!cost_order_token(Some("FIFO")));
-        assert!(!cost_order_token(Some(" fifo ")));
-        assert!(cost_order_token(Some("cost")));
-        assert!(cost_order_token(Some("")));
+    fn fig3_heaviest_cell_maximizes_cost_rank_over_the_paper_grid() {
+        let floor = fig3_heaviest_cell();
+        let floor_rank = cost_rank(&floor);
+        for cell in GridSpec::paper().cells() {
+            assert!(
+                cost_rank(&cell) <= floor_rank,
+                "{cell:?} outranks the declared makespan floor"
+            );
+            // Strictly heavier than every cell that differs in the
+            // rank inputs (comm method doesn't enter the rank).
+            let same_rank_inputs = cell.workload == floor.workload
+                && cell.batch == floor.batch
+                && cell.gpus == floor.gpus;
+            if !same_rank_inputs {
+                assert!(cost_rank(&cell) < floor_rank, "{cell:?} ties the floor");
+            }
+        }
     }
 
     #[test]
     fn cost_order_serves_heaviest_first_within_a_client() {
-        let mut queue = queue_with(true);
+        let mut queue = queue();
         let t = bare_ticket(1, Priority::Normal);
         // Admit cheap → heaviest → middling; service order is by rank.
         queue.push(item_for(&t, 1, cell_of(Workload::LeNet, 16, 1)));
@@ -1464,17 +1433,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_mode_preserves_admission_and_equal_ranks_stay_fifo() {
-        // fifo mode: admission order wins even against a heavy cell.
-        let mut queue = queue_with(false);
+    fn equal_ranks_stay_in_admission_order() {
+        let mut queue = queue();
         let t = bare_ticket(1, Priority::Normal);
-        queue.push(item_for(&t, 1, cell_of(Workload::LeNet, 16, 1)));
-        queue.push(item_for(&t, 2, cell_of(Workload::InceptionV3, 64, 8)));
-        let (first, _) = queue.pop_next(8).unwrap();
-        assert_eq!(first.seq, 1);
-
-        // cost mode: equal ranks tie-break by admission order.
-        let mut queue = queue_with(true);
         queue.push(item_for(&t, 10, cell_of(Workload::AlexNet, 32, 4)));
         queue.push(item_for(&t, 11, cell_of(Workload::AlexNet, 32, 4)));
         let (first, _) = queue.pop_next(8).unwrap();
@@ -1640,10 +1601,7 @@ mod tests {
         ));
         let sched = workerless_with(
             Arc::clone(&service),
-            SchedConfig::default()
-                .workers(2)
-                .quantum(8)
-                .cost_order(true),
+            SchedConfig::default().workers(2).quantum(8),
         );
         let cells: Vec<Cell> = (1..=4).map(|b| lenet_cell(16 * b, 1)).collect();
         sched.submit(&cells, SubmitOpts::default()).unwrap();

@@ -1,11 +1,12 @@
 //! Snapshot-format contract: the on-disk report cache must round-trip
-//! exactly (save → load → byte-identical re-save), reject every broken
-//! or stale file with a typed error instead of panicking, and make a
-//! warm-started `GridService` indistinguishable from a cold one.
+//! exactly (save → load → byte-identical re-save), reject every broken,
+//! stale or retired-layout file with a typed error instead of
+//! panicking, and make a warm-started `GridService` indistinguishable
+//! from a cold one.
 
 use std::sync::Arc;
 
-use dgx1_repro::prelude::persist::{decode, decode_entries, encode, encode_entries, PersistError};
+use dgx1_repro::prelude::persist::{decode, encode, PersistError};
 use dgx1_repro::prelude::*;
 use dgx1_repro::sim::{SimSpan, SimTime, TaskId, Trace, TraceEvent};
 use proptest::prelude::*;
@@ -155,53 +156,6 @@ proptest! {
         }
     }
 
-    /// Slim-flagged entries round-trip exactly: the flag survives, the
-    /// scalars survive, the trace is dropped for slim entries only,
-    /// the encoding stays canonical, and a re-save is byte-identical.
-    #[test]
-    fn slim_flags_roundtrip_and_drop_exactly_the_traces(seed in 0u64..10_000, n in 0usize..10) {
-        let entries: Vec<(Cell, Arc<EpochReport>, bool)> = arb_entries(seed, n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (c, r))| (c, r, (seed >> (i % 32)) & 1 == 1))
-            .collect();
-        let bytes = encode_entries(5, &entries);
-
-        let decoded = decode_entries(&bytes, 5).expect("valid snapshot must decode");
-        prop_assert_eq!(decoded.len(), entries.len());
-        prop_assert_eq!(encode_entries(5, &decoded), bytes.clone(), "re-save drifted");
-        let mut reversed = entries.clone();
-        reversed.reverse();
-        prop_assert_eq!(encode_entries(5, &reversed), bytes, "encoding not canonical");
-
-        for (c0, r0, slim0) in &entries {
-            let (_, r1, slim1) = decoded
-                .iter()
-                .find(|(c1, _, _)| c1 == c0)
-                .expect("every saved cell must be decoded");
-            prop_assert_eq!(slim0, slim1, "slim flag lost for {:?}", c0);
-            prop_assert_eq!(r0.iterations, r1.iterations);
-            prop_assert_eq!(r0.iter_time, r1.iter_time);
-            prop_assert_eq!(r0.epoch_time, r1.epoch_time);
-            prop_assert_eq!(r0.fp_bp_iter, r1.fp_bp_iter);
-            prop_assert_eq!(r0.wu_iter, r1.wu_iter);
-            prop_assert_eq!(&r0.api_iter, &r1.api_iter);
-            prop_assert_eq!(r0.sync_wall_iter, r1.sync_wall_iter);
-            prop_assert_eq!(
-                r0.compute_utilization.to_bits(),
-                r1.compute_utilization.to_bits()
-            );
-            if *slim0 {
-                prop_assert!(
-                    r1.iter_trace.events().is_empty(),
-                    "slim entry kept its trace"
-                );
-            } else {
-                prop_assert_eq!(r0.iter_trace.events(), r1.iter_trace.events());
-            }
-        }
-    }
-
     /// Truncating a valid snapshot anywhere yields a typed error,
     /// never a panic and never a silently shorter cache.
     #[test]
@@ -300,28 +254,16 @@ proptest! {
             lazy[0].1.iter_trace.events().is_empty(),
             "lazy report must not carry decoded events"
         );
-        match &lazy[0].2 {
-            persist::EntryTrace::Lazy(block) => {
-                prop_assert_eq!(&block.decode().expect("block decodes")[..], &events[..]);
-                // Decoding is deterministic.
-                prop_assert_eq!(block.decode().unwrap(), block.decode().unwrap());
-            }
-            persist::EntryTrace::Slim => {
-                prop_assert!(false, "full entries must load as lazy blocks");
-            }
-        }
+        let block = &lazy[0].2;
+        prop_assert_eq!(&block.decode().expect("block decodes")[..], &events[..]);
+        // Decoding is deterministic.
+        prop_assert_eq!(block.decode().unwrap(), block.decode().unwrap());
 
         // Copying the still-encoded block through a re-save
         // (TraceOut::Raw) is byte-identical to re-encoding.
         let raw_entries: Vec<(Cell, Arc<EpochReport>, persist::TraceOut)> = lazy
             .iter()
-            .map(|(c, r, t)| {
-                let out = match t {
-                    persist::EntryTrace::Lazy(b) => persist::TraceOut::Raw(b.clone()),
-                    persist::EntryTrace::Slim => persist::TraceOut::Slim,
-                };
-                (*c, r.clone(), out)
-            })
+            .map(|(c, r, b)| (*c, r.clone(), persist::TraceOut::Raw(b.clone())))
             .collect();
         prop_assert_eq!(
             persist::encode_with_traces(fp, &raw_entries),
@@ -474,86 +416,80 @@ fn warm_service_is_equivalent_to_cold_over_a_mixed_stream() {
     std::fs::remove_file(&resaved_decoded).unwrap();
 }
 
+/// FNV-1a, the snapshot header's payload checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The layout older builds wrote for a *slim* entry: trace tag `0` and
+/// no trace block. Built from a one-entry `encode` image by splicing
+/// out the entry's length-prefixed block, which ends the payload, and
+/// refreshing the header's payload length and checksum — so only the
+/// structural check can reject it.
+fn retired_slim_image(fp: u64, cell: Cell, report: Arc<EpochReport>) -> Vec<u8> {
+    let full = encode(fp, &[(cell, report)]);
+    let image: Arc<[u8]> = full.clone().into();
+    let block_len = persist::decode_entries_lazy(&image, fp).unwrap()[0]
+        .2
+        .encoded_len();
+    let tag_pos = full.len() - block_len - 5;
+    assert_eq!(full[tag_pos], 1, "full entries carry trace tag 1");
+    let mut slim = full[..=tag_pos].to_vec();
+    slim[tag_pos] = 0;
+    let payload_len = (slim.len() - 44) as u64;
+    slim[28..36].copy_from_slice(&payload_len.to_le_bytes());
+    let checksum = fnv1a(&slim[44..]);
+    slim[36..44].copy_from_slice(&checksum.to_le_bytes());
+    slim
+}
+
 #[test]
-fn slim_warm_service_serves_equivalent_scalars_and_recomputes_for_traces() {
-    let slim_path = std::env::temp_dir().join(format!(
-        "voltascope-persist-slim-{}.snap",
+fn retired_slim_entries_are_rejected_and_recomputed() {
+    let cell = Cell {
+        workload: Workload::LeNet.into(),
+        comm: CommMethod::P2p,
+        batch: 16,
+        gpus: 2,
+        scaling: ScalingMode::Strong,
+        platform: Platform::Dgx1,
+        fault: FaultScenario::Healthy,
+    };
+    let h = Harness::paper();
+    let fp = persist::harness_fingerprint(&h);
+    let cold = GridService::with_executor(h.clone(), Executor::Serial);
+    let cold_report = cold.run_cells(&[cell]).remove(0);
+    let slim = retired_slim_image(fp, cell, cold_report.clone());
+
+    assert!(matches!(
+        decode(&slim, fp),
+        Err(PersistError::Corrupted("unknown trace tag"))
+    ));
+
+    // A warm start rejects the file as a whole and caches nothing...
+    let path = std::env::temp_dir().join(format!(
+        "voltascope-persist-retired-slim-{}.snap",
         std::process::id()
     ));
-    let full_path = slim_path.with_extension("full");
-    let stream = demo_stream();
-
-    let cold = GridService::with_executor(Harness::paper(), Executor::Serial);
-    let cold_outs: Vec<_> = stream.iter().map(|s| cold.sweep(s)).collect();
-    let saved = cold.save_with(&slim_path, true).unwrap();
-    assert_eq!(saved as u64, cold.stats().computed);
-    cold.save(&full_path).unwrap();
-    let slim_len = std::fs::metadata(&slim_path).unwrap().len();
-    let full_len = std::fs::metadata(&full_path).unwrap().len();
-    // v5's compressed trace blocks narrowed the gap (the old full
-    // format was ~10x slim), but dropping traces must still win
-    // clearly.
+    std::fs::write(&path, &slim).unwrap();
+    let (warm, status) = GridService::with_snapshot(h, Executor::Serial, &path);
     assert!(
-        slim_len * 2 < full_len,
-        "slim snapshot ({slim_len} B) should be well under half of full ({full_len} B)"
+        matches!(
+            status,
+            SnapshotStatus::Rejected(PersistError::Corrupted("unknown trace tag"))
+        ),
+        "{status}"
     );
+    assert_eq!(warm.cached_cells(), 0);
 
-    // A slim-warm service answers the whole stream from cache with
-    // identical scalars; only the iteration traces are gone.
-    let (warm, status) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &slim_path);
-    assert!(matches!(status, SnapshotStatus::Loaded { .. }), "{status}");
-    for (spec, c_out) in stream.iter().zip(cold_outs.iter()) {
-        let w_out = warm.sweep(spec);
-        assert_eq!(c_out.cells(), w_out.cells());
-        for ((cell, c), (_, w)) in c_out.iter().zip(w_out.iter()) {
-            assert_eq!(c.iterations, w.iterations, "{cell:?}");
-            assert_eq!(c.iter_time, w.iter_time, "{cell:?}");
-            assert_eq!(c.epoch_time, w.epoch_time, "{cell:?}");
-            assert_eq!(c.fp_bp_iter, w.fp_bp_iter, "{cell:?}");
-            assert_eq!(c.wu_iter, w.wu_iter, "{cell:?}");
-            assert_eq!(c.sync_wall_iter, w.sync_wall_iter, "{cell:?}");
-            assert_eq!(c.api_iter, w.api_iter, "{cell:?}");
-            assert_eq!(
-                c.compute_utilization.to_bits(),
-                w.compute_utilization.to_bits(),
-                "{cell:?}"
-            );
-            assert!(w.iter_trace.events().is_empty(), "{cell:?} kept a trace");
-        }
-    }
-    let warm_stats = warm.stats();
-    assert_eq!(warm_stats.computed, 0, "scalar requests must not recompute");
-    assert!(warm_stats.hit_rate() >= 0.95, "{}", warm_stats.hit_rate());
-
-    // Re-saving the slim-warm cache reproduces the slim bytes even
-    // without the slim flag: a slim-loaded entry can never launder
-    // itself back into a full one.
-    let resaved = slim_path.with_extension("snap2");
-    warm.save(&resaved).unwrap();
+    // ...so even a table-only request recomputes the cell, and gets
+    // exactly the cold report back, trace included.
+    let again = warm.run_cells(&[cell]).remove(0);
+    assert_eq!(warm.stats().computed, 1);
     assert_eq!(
-        std::fs::read(&slim_path).unwrap(),
-        std::fs::read(&resaved).unwrap(),
-        "slim-loaded re-save must be byte-identical to the slim snapshot"
+        encode(0, &[(cell, again)]),
+        encode(0, &[(cell, cold_report)])
     );
-
-    // A trace-requiring request recomputes the cell and gets the full
-    // trace back, identical to the cold computation.
-    let cell = cold_outs[0].cells()[0];
-    let cold_report = cold_outs[0].get(&cell).unwrap();
-    assert!(!cold_report.iter_trace.events().is_empty());
-    let traced = warm.run_cells_traced(&[cell], true);
-    assert_eq!(
-        traced[0].iter_trace.events(),
-        cold_report.iter_trace.events(),
-        "traced recompute must reproduce the cold trace"
-    );
-    assert_eq!(
-        warm.stats().computed,
-        1,
-        "exactly the traced cell recomputed"
-    );
-
-    for p in [&slim_path, &full_path, &resaved] {
-        std::fs::remove_file(p).unwrap();
-    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -1,15 +1,18 @@
 //! Scheduler contract: the async prioritised front end must deliver
-//! byte-identical reports to the blocking `GridService` path, keep
-//! strict priority + deficit-round-robin fairness under load, survive
+//! byte-identical reports to the blocking `GridService` path — down to
+//! the pinned paper goldens, cold and from a snapshot — keep strict
+//! priority + deficit-round-robin fairness under load, survive
 //! panicking cells, honour cancellation and deadlines, and keep its
 //! ticket accounting balanced under randomized concurrent traffic.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dgx1_repro::comm::TuningSpace;
 use dgx1_repro::prelude::persist::encode;
 use dgx1_repro::prelude::*;
 use proptest::prelude::*;
+use voltascope::grid::GridOut;
 
 fn lenet_cell(batch: usize, gpus: usize) -> Cell {
     Cell {
@@ -323,7 +326,7 @@ fn demo_stream() -> Vec<GridSpec> {
 }
 
 /// Canonical bytes of one sweep's (cell, report) pairs.
-fn sweep_bytes(out: &voltascope::grid::GridOut<Arc<EpochReport>>) -> Vec<u8> {
+fn sweep_bytes(out: &GridOut<Arc<EpochReport>>) -> Vec<u8> {
     let entries: Vec<(Cell, Arc<EpochReport>)> = out
         .iter()
         .map(|(cell, report)| (*cell, report.clone()))
@@ -363,6 +366,108 @@ fn the_demo_stream_is_byte_identical_to_the_blocking_path_at_any_worker_count() 
         assert_eq!(stats.completed, stream.len() as u64);
         assert!(stats.is_balanced(), "{stats:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Paper goldens through the scheduler: the full Fig. 3 grid at 1, 2 and
+// 8 workers, the modern-tuning degraded-DGX-1 sweep as a traced
+// ticket, and a Fig. 3 snapshot saved behind one scheduler and served
+// by another — each byte-identical to the file the regeneration binary
+// is diffed against.
+// ---------------------------------------------------------------------------
+
+const FIG3_GOLDEN: &str = include_str!("../results/fig3_training_time.txt");
+const TUNED_DEGRADED_GOLDEN: &str = include_str!("../results/tuned/degraded_dgx1.txt");
+
+/// A table as the regeneration binaries print it (`emit` without
+/// `--csv`): a `== title ==` header, the table, a blank line.
+fn emitted(title: &str, table: &TextTable) -> String {
+    format!("== {title} ==\n{}\n", table.render())
+}
+
+fn fig3_text(service: &GridService, out: &GridOut<Arc<EpochReport>>) -> String {
+    let cells = experiments::fig3::rows_from(service.base(), out);
+    emitted(
+        "Fig. 3: Training time per epoch (s)",
+        &experiments::fig3::render(&cells),
+    )
+}
+
+#[test]
+fn the_fig3_golden_is_byte_identical_through_the_scheduler_at_1_2_8_workers() {
+    let spec = experiments::fig3::spec(&Workload::ALL);
+    let blocking = GridService::with_executor(Harness::paper(), Executor::Serial);
+    blocking.sweep(&spec);
+    let blocking_stats = blocking.stats();
+    assert_eq!(
+        (
+            blocking_stats.requests,
+            blocking_stats.cells,
+            blocking_stats.computed
+        ),
+        (1, 120, 120)
+    );
+
+    for workers in [1usize, 2, 8] {
+        let sched = Scheduler::new(serial_service(), SchedConfig::default().workers(workers));
+        let out = sched.sweep(&spec);
+        assert!(
+            fig3_text(sched.service(), &out) == FIG3_GOLDEN,
+            "fig3 drifted from its golden at {workers} workers"
+        );
+        assert_eq!(
+            sched.service().stats(),
+            blocking_stats,
+            "service statistics drifted at {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn the_tuned_degraded_golden_is_byte_identical_through_a_traced_ticket() {
+    let mut h = Harness::paper();
+    h.sys.nccl.tuning = TuningSpace::modern();
+    let service = GridService::with_executor(h, Executor::Serial);
+    let sched = Scheduler::new(Arc::new(service), SchedConfig::default().workers(2));
+    let spec = experiments::faults::spec().workloads(Workload::ALL);
+    let out = sched.sweep_opts(&spec, SubmitOpts::default().traced(true));
+    let rows: Vec<_> = experiments::faults::rows_from(out)
+        .into_pairs()
+        .map(|(_, row)| row)
+        .collect();
+    let text = emitted(
+        "Degraded DGX-1: fault-injection scenarios (batch 16, 8 GPUs)",
+        &experiments::faults::render(&rows),
+    );
+    assert!(
+        text == TUNED_DEGRADED_GOLDEN,
+        "tuned degraded sweep drifted from its golden:\n{text}"
+    );
+}
+
+#[test]
+fn a_fig3_snapshot_saved_behind_a_scheduler_warm_starts_another() {
+    let spec = experiments::fig3::spec(&Workload::ALL);
+    let path =
+        std::env::temp_dir().join(format!("voltascope-sched-fig3-{}.snap", std::process::id()));
+
+    let cold = Scheduler::new(serial_service(), SchedConfig::default().workers(2));
+    assert!(fig3_text(cold.service(), &cold.sweep(&spec)) == FIG3_GOLDEN);
+    assert_eq!(cold.service().save(&path).unwrap(), 120);
+    cold.shutdown();
+
+    let (service, status) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &path);
+    assert!(
+        matches!(status, SnapshotStatus::Loaded { cells: 120 }),
+        "{status}"
+    );
+    let warm = Scheduler::new(Arc::new(service), SchedConfig::default().workers(2));
+    assert!(fig3_text(warm.service(), &warm.sweep(&spec)) == FIG3_GOLDEN);
+    let stats = warm.service().stats();
+    assert_eq!(stats.computed, 0, "the warm pass must not recompute");
+    assert_eq!(stats.hit_rate(), 1.0);
+    assert_eq!(warm.service().trace_decodes(), 0, "table-only warm pass");
+    std::fs::remove_file(&path).unwrap();
 }
 
 // ---------------------------------------------------------------------------
