@@ -3,13 +3,18 @@
 //! the optimisation later popularised by Horovod/DDP, applied to the
 //! paper's platform.
 use voltascope::Harness;
+use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
-use voltascope_train::{DatasetSpec, ScalingMode, TrainConfig};
+use voltascope_train::{
+    fuse_buckets, DatasetSpec, EpochError, EpochRequest, ScalingMode, TrainConfig,
+};
+use voltascope_workload::lower_model;
 
-fn main() {
+fn main() -> Result<(), EpochError> {
     let h = Harness::paper();
+    let tuner = TunerMemo::new();
     let mut table = TextTable::new([
         "Workload",
         "Method",
@@ -19,7 +24,7 @@ fn main() {
         "Epoch (s)",
     ]);
     for workload in [Workload::ResNet, Workload::AlexNet] {
-        let model = workload.build();
+        let lowered = lower_model(&workload.build(), 16)?;
         for comm in CommMethod::ALL {
             for (label, fusion) in [
                 ("per-layer", 0u64),
@@ -35,26 +40,19 @@ fn main() {
                     dataset: DatasetSpec::imagenet_256k(),
                     bucket_fusion_bytes: fusion,
                 };
-                let r = h.epoch_cfg(&model, &cfg);
-                let buckets = if fusion == 0 {
-                    model.gradient_buckets().len()
-                } else {
-                    let mut acc = 0u64;
-                    let mut count = 0usize;
-                    for b in model.gradient_buckets() {
-                        acc += b.bytes;
-                        if acc >= fusion.max(1) {
-                            count += 1;
-                            acc = 0;
-                        }
-                    }
-                    count.max(1)
-                };
+                let r = EpochRequest {
+                    sys: &h.sys,
+                    workload: &lowered,
+                    cfg: &cfg,
+                    fault: None,
+                    tuner: &tuner,
+                }
+                .run()?;
                 table.row([
                     workload.name().to_string(),
                     comm.name().to_string(),
                     label.to_string(),
-                    buckets.to_string(),
+                    fuse_buckets(&lowered.buckets, fusion)?.len().to_string(),
                     r.wu_iter.to_string(),
                     format!("{:.1}", r.epoch_time.as_secs_f64()),
                 ]);
@@ -65,4 +63,5 @@ fn main() {
         "Ablation: gradient-bucket fusion (batch 16, 8 GPUs)",
         &table,
     );
+    Ok(())
 }

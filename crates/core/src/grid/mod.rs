@@ -62,10 +62,8 @@ mod spec;
 
 pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
-pub use runner::{
-    cell_report, cell_report_with, epoch_reports, harness_for, run_grid, CellCtx, GridOut,
-    GridRunner,
-};
+pub(crate) use runner::cell_report_with;
+pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};
 pub use spec::{GridSpec, PAPER_BATCHES, PAPER_GPU_COUNTS};
 
 #[allow(unused_imports)] // rustdoc links

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use voltascope_comm::tuner::TunerMemo;
 use voltascope_dnn::Model;
-use voltascope_train::{EpochReport, MidEpochFault};
+use voltascope_train::{EpochReport, EpochRequest, MidEpochFault};
 use voltascope_workload::Definition;
 
 use super::cell::{Cell, FaultScenario, Platform};
@@ -155,35 +155,50 @@ pub fn harness_for(base: &Harness, platform: Platform, fault: FaultScenario) -> 
     }
 }
 
-/// Simulates one cell's [`EpochReport`], dispatching on the fault
-/// scenario: static scenarios run the ordinary epoch against the
-/// (already degraded) harness; mid-epoch scenarios run the dynamic
-/// piecewise epoch against the healthy harness, with the fault lowered
-/// to engine events at [`FaultScenario::mid_epoch_fraction`]. Both the
-/// direct grid path ([`epoch_reports`]) and the caching service route
-/// every cell through here, so the two stay interchangeable.
+/// Simulates one cell's [`EpochReport`] through
+/// [`EpochRequest::run`], dispatching on the fault scenario: static
+/// scenarios run the ordinary epoch against the (already degraded)
+/// harness; mid-epoch scenarios run the piecewise epoch against the
+/// healthy harness, with the fault striking at
+/// [`FaultScenario::mid_epoch_fraction`]. Both the direct grid path
+/// ([`epoch_reports`]) and the caching service route every cell
+/// through here, so the two stay interchangeable.
 ///
-/// Tuning decisions go through a call-local memo; sweeps use
-/// [`cell_report_with`] to share one across cells.
+/// Tuning decisions go through a call-local memo; sweeps share one
+/// across cells ([`CellCtx::report`]).
+///
+/// # Panics
+///
+/// Panics with the error's message where [`EpochRequest::run`]
+/// returns one (a GPU count beyond the platform, ...).
 pub fn cell_report(harness: &Harness, def: &Definition, cell: &Cell) -> EpochReport {
     cell_report_with(harness, def, cell, &TunerMemo::new())
 }
 
 /// [`cell_report`] with its NCCL tuning decisions priced through a
 /// sweep owner's `tuner`. The report does not depend on what the memo
-/// already holds.
-pub fn cell_report_with(
+/// already holds. Panics as [`cell_report`] does.
+pub(crate) fn cell_report_with(
     harness: &Harness,
     def: &Definition,
     cell: &Cell,
     tuner: &TunerMemo,
 ) -> EpochReport {
-    let cfg = train_config(cell.batch, cell.gpus, cell.comm, cell.scaling);
     let fault = cell
         .fault
         .mid_epoch_fraction()
         .map(|fraction| MidEpochFault::new(cell.fault.spec(), fraction));
-    harness.epoch_def_with(def, &cfg, fault.as_ref(), tuner)
+    let run = || {
+        EpochRequest {
+            sys: &harness.sys,
+            workload: &def.lowered(cell.batch)?,
+            cfg: &train_config(cell.batch, cell.gpus, cell.comm, cell.scaling),
+            fault: fault.as_ref(),
+            tuner,
+        }
+        .run()
+    };
+    run().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one grid end to end: build the shared context, execute, return

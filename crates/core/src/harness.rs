@@ -1,14 +1,15 @@
 //! The experiment harness: configured system + measurement protocol.
+//! [`Harness::epoch`] is the paper-protocol convenience over
+//! [`EpochRequest::run`] that panics where `run` returns an error.
 
 use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::{zoo::Workload, Model};
 use voltascope_sim::{mean_stddev, Jitter};
 use voltascope_train::{
-    simulate_epoch, simulate_epoch_dynamic_lowered_memo, simulate_epoch_lowered_memo, DatasetSpec,
-    EpochReport, MemoryModel, MidEpochFault, ScalingMode, SystemModel, TrainConfig,
+    DatasetSpec, EpochReport, EpochRequest, MemoryModel, ScalingMode, SystemModel, TrainConfig,
 };
-use voltascope_workload::Definition;
+use voltascope_workload::lower_model;
 
 use crate::calibration;
 
@@ -65,6 +66,11 @@ impl Harness {
     }
 
     /// Simulates one epoch and returns the detailed report (no jitter).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the error's message where [`EpochRequest::run`]
+    /// returns one (zero batch, more GPUs than the topology has, ...).
     pub fn epoch(
         &self,
         model: &Model,
@@ -73,91 +79,17 @@ impl Harness {
         comm: CommMethod,
         scaling: ScalingMode,
     ) -> EpochReport {
-        simulate_epoch(&self.sys, model, &train_config(batch, gpus, comm, scaling))
-    }
-
-    /// Like [`Harness::epoch`] but driven by a workload [`Definition`]:
-    /// builder-backed definitions lower from the Rust model (identical
-    /// to [`Harness::epoch`] by construction), data-backed ones from
-    /// the parsed `.workload` spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the lowering error's message when the definition
-    /// fails validation (empty workload, zero batch, ...), matching
-    /// [`simulate_epoch`]'s behaviour for invalid models.
-    pub fn epoch_def(
-        &self,
-        def: &Definition,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-    ) -> EpochReport {
-        let cfg = train_config(batch, gpus, comm, scaling);
-        self.epoch_def_with(def, &cfg, None, &TunerMemo::new())
-    }
-
-    /// Like [`Harness::epoch_def`] but with `fault` striking partway
-    /// through the epoch
-    /// ([`voltascope_train::simulate_epoch_dynamic_lowered`]). The
-    /// harness's system must be the *healthy* platform: the fault is
-    /// lowered to dynamic engine events mid-epoch rather than rewiring
-    /// the topology before lowering.
-    ///
-    /// The steady-state columns of the returned report (`iter_time`,
-    /// `iter_trace`, utilisation, ...) describe the **post-fault**
-    /// regime — the pace the epoch settles into once NCCL has
-    /// renegotiated — while `epoch_time` is the piecewise composition
-    /// (healthy head + transition iteration + degraded tail).
-    ///
-    /// # Panics
-    ///
-    /// As [`Harness::epoch_def`], plus the fault-spec validation of
-    /// `Topology::apply`.
-    pub fn epoch_def_dynamic(
-        &self,
-        def: &Definition,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-        fault: &MidEpochFault,
-    ) -> EpochReport {
-        let cfg = train_config(batch, gpus, comm, scaling);
-        self.epoch_def_with(def, &cfg, Some(fault), &TunerMemo::new())
-    }
-
-    /// The body of [`Harness::epoch_def`] (no `fault`) and
-    /// [`Harness::epoch_def_dynamic`], with NCCL tuning decisions
-    /// priced through `tuner`.
-    pub(crate) fn epoch_def_with(
-        &self,
-        def: &Definition,
-        cfg: &TrainConfig,
-        fault: Option<&MidEpochFault>,
-        tuner: &TunerMemo,
-    ) -> EpochReport {
-        let lowered = def
-            .lowered(cfg.batch_per_gpu)
-            .unwrap_or_else(|e| panic!("{e}"));
-        match fault {
-            None => simulate_epoch_lowered_memo(&self.sys, &lowered, cfg, tuner),
-            Some(fault) => {
-                let dynamic =
-                    simulate_epoch_dynamic_lowered_memo(&self.sys, &lowered, cfg, fault, tuner);
-                EpochReport {
-                    epoch_time: dynamic.epoch_time,
-                    ..dynamic.degraded
-                }
+        let run = || {
+            EpochRequest {
+                sys: &self.sys,
+                workload: &lower_model(model, batch)?,
+                cfg: &train_config(batch, gpus, comm, scaling),
+                fault: None,
+                tuner: &TunerMemo::new(),
             }
-        }
-    }
-
-    /// Simulates one epoch with full control over the configuration
-    /// (used by the ablation sweeps, e.g. gradient-bucket fusion).
-    pub fn epoch_cfg(&self, model: &Model, cfg: &TrainConfig) -> EpochReport {
-        simulate_epoch(&self.sys, model, cfg)
+            .run()
+        };
+        run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Applies the repetition protocol to an epoch time: `reps`

@@ -36,11 +36,12 @@ impl DatasetSpec {
         }
     }
 
-    /// Total images given the scaling mode and GPU count.
+    /// Total images given the scaling mode and GPU count, saturating
+    /// at `u64::MAX`.
     pub fn total_images(&self, scaling: ScalingMode, gpu_count: usize) -> u64 {
         match scaling {
             ScalingMode::Strong => self.images,
-            ScalingMode::Weak => self.images * gpu_count as u64,
+            ScalingMode::Weak => self.images.saturating_mul(gpu_count as u64),
         }
     }
 
@@ -53,7 +54,7 @@ impl DatasetSpec {
     pub fn iterations(&self, scaling: ScalingMode, batch_per_gpu: usize, gpu_count: usize) -> u64 {
         assert!(batch_per_gpu > 0 && gpu_count > 0);
         let total = self.total_images(scaling, gpu_count);
-        let per_iter = (batch_per_gpu * gpu_count) as u64;
+        let per_iter = (batch_per_gpu as u64).saturating_mul(gpu_count as u64);
         total.div_ceil(per_iter)
     }
 

@@ -11,8 +11,8 @@
 //!
 //! This module prices that transition. A [`MidEpochFault`] names a
 //! [`FaultSpec`] and the epoch fraction at which it strikes;
-//! [`simulate_epoch_dynamic`] composes three engine runs into a
-//! piecewise epoch:
+//! [`EpochRequest::run`] with a fault composes three engine runs into
+//! a piecewise epoch:
 //!
 //! 1. the healthy lowering (iterations before the fault),
 //! 2. a *transition* run of the healthy graph with the fault lowered
@@ -21,7 +21,11 @@
 //!    remaining kernels ([`lower_fault_events`]),
 //! 3. the statically degraded lowering (iterations after the fault,
 //!    once NCCL has rebuilt its communicator against the damaged
-//!    topology the way [`Topology::apply`] models).
+//!    topology the way [`Topology::try_apply`] models).
+//!
+//! A fault that never fires (or a healthy spec) is the healthy epoch,
+//! and one that fires at iteration 0 the statically degraded epoch:
+//! neither simulates the twin it does not return.
 //!
 //! The transition run re-routes dead-link traffic onto the first
 //! PCIe leg of the host-bounced route and stretches the remaining
@@ -32,59 +36,47 @@
 //! multi-leg occupancy the static lowering models, acceptable for the
 //! one transition iteration it is applied to.
 
-use voltascope_comm::tuner::TunerMemo;
-use voltascope_dnn::Model;
 use voltascope_sim::{DynamicEvent, DynamicEventKind, ResourceId, SimSpan, SimTime, TaskGraph};
-use voltascope_topo::{FaultSpec, Link, Topology};
-use voltascope_workload::{lower_model, LoweredWorkload};
+use voltascope_topo::{FaultError, FaultSpec, Link, Topology};
 
-use crate::epoch::{
-    simulate_epoch_lowered_memo, simulate_epoch_lowered_with_events, EpochReport, SystemModel,
-    TrainConfig,
-};
+use crate::epoch::{epoch_span, simulate_with_events, EpochError, EpochReport, EpochRequest};
 
 /// A fault that strikes partway through an epoch.
 #[derive(Debug, Clone)]
 pub struct MidEpochFault {
     /// What breaks.
     pub spec: FaultSpec,
-    /// When it breaks, as a fraction of the epoch's iterations in
-    /// `[0, 1]`: `0.0` degrades the whole epoch (equivalent to a
+    /// When it breaks, as a fraction of the epoch's iterations:
+    /// `0.0` degrades the whole epoch (equivalent to a
     /// construction-time fault), `>= 1.0` leaves it healthy.
+    /// [`EpochRequest::run`] rejects a NaN, infinite or negative
+    /// fraction.
     pub at_fraction: f64,
 }
 
 impl MidEpochFault {
     /// A fault striking at `at_fraction` of the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `at_fraction` is finite and non-negative.
     pub fn new(spec: FaultSpec, at_fraction: f64) -> Self {
-        assert!(
-            at_fraction.is_finite() && at_fraction >= 0.0,
-            "fault fraction {at_fraction} must be finite and non-negative"
-        );
         MidEpochFault { spec, at_fraction }
     }
 }
 
-/// The piecewise epoch of a [`MidEpochFault`].
+/// The piecewise epoch of a fault striking strictly inside the epoch.
+/// [`run_faulted`] keeps `degraded` and `epoch_time`; the unit tests
+/// read the rest.
 #[derive(Debug, Clone)]
-pub struct DynamicEpochReport {
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct DynamicEpochReport {
     /// The healthy lowering (pre-fault iterations).
-    pub healthy: EpochReport,
+    pub(crate) healthy: EpochReport,
     /// The statically degraded lowering (post-fault iterations).
-    pub degraded: EpochReport,
+    pub(crate) degraded: EpochReport,
     /// Duration of the iteration the fault strikes in: the healthy
     /// schedule preempted mid-flight, traffic re-routed by the engine's
     /// dynamic-event machinery.
-    pub transition_iter: SimSpan,
-    /// The (0-based) iteration the fault strikes in; `iterations` or
-    /// more means it never fires.
-    pub fault_iteration: u64,
+    pub(crate) transition_iter: SimSpan,
     /// The composed epoch duration.
-    pub epoch_time: SimSpan,
+    pub(crate) epoch_time: SimSpan,
 }
 
 /// Lowers `spec` to engine [`DynamicEvent`]s firing at `at` against a
@@ -106,16 +98,16 @@ pub struct DynamicEpochReport {
 /// has no mid-epoch lowering (it is a per-link latency constant, not a
 /// resource mutation) and is ignored here.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `spec` is invalid for `topo` (same validation as
-/// [`Topology::apply`]).
+/// The [`FaultError`] of [`Topology::try_apply`] when `spec` is
+/// invalid for `topo`.
 pub fn lower_fault_events(
     graph: &TaskGraph,
     topo: &Topology,
     spec: &FaultSpec,
     at: SimTime,
-) -> Vec<DynamicEvent> {
+) -> Result<Vec<DynamicEvent>, FaultError> {
     let resource_of = |name: &str| -> Option<ResourceId> {
         graph
             .resources()
@@ -124,7 +116,7 @@ pub fn lower_fault_events(
     };
     // Validates the spec and yields the renegotiated routes the
     // fallback traffic follows.
-    let degraded = topo.apply(spec);
+    let degraded = topo.try_apply(spec)?;
     let pair_eq = |l: &Link, a, b| (l.a == a && l.b == b) || (l.a == b && l.b == a);
     let mut events = Vec::new();
     for link in topo.links() {
@@ -196,89 +188,65 @@ pub fn lower_fault_events(
             });
         }
     }
-    events
+    Ok(events)
 }
 
-/// Simulates an epoch through which `fault` strikes mid-way. See the
-/// module docs for the three-piece composition.
-///
-/// # Panics
-///
-/// As [`crate::simulate_epoch`], plus the fault-spec validation of
-/// [`Topology::apply`].
-pub fn simulate_epoch_dynamic(
-    sys: &SystemModel,
-    model: &Model,
-    cfg: &TrainConfig,
+/// [`EpochRequest::run`] with a `fault`: the healthy report if it
+/// never fires, the statically degraded one if it fires at iteration
+/// 0, otherwise [`compose`]'s post-fault columns with its piecewise
+/// `epoch_time`.
+pub(crate) fn run_faulted(
+    req: &EpochRequest<'_>,
     fault: &MidEpochFault,
-) -> DynamicEpochReport {
-    let lowered = lower_model(model, cfg.batch_per_gpu).unwrap_or_else(|e| panic!("{e}"));
-    simulate_epoch_dynamic_lowered(sys, &lowered, cfg, fault)
-}
-
-/// [`simulate_epoch_dynamic`] from an already-lowered workload. Its
-/// three engine runs share one call-local [`TunerMemo`], so the
-/// transition run reuses the healthy run's tuning decisions.
-///
-/// # Panics
-///
-/// As [`simulate_epoch_dynamic`].
-pub fn simulate_epoch_dynamic_lowered(
-    sys: &SystemModel,
-    workload: &LoweredWorkload,
-    cfg: &TrainConfig,
-    fault: &MidEpochFault,
-) -> DynamicEpochReport {
-    simulate_epoch_dynamic_lowered_memo(sys, workload, cfg, fault, &TunerMemo::new())
-}
-
-/// [`simulate_epoch_dynamic_lowered`] with its NCCL tuning decisions
-/// priced through a caller-owned `tuner`, shared with whatever else
-/// the caller simulates.
-///
-/// # Panics
-///
-/// As [`simulate_epoch_dynamic`].
-pub fn simulate_epoch_dynamic_lowered_memo(
-    sys: &SystemModel,
-    workload: &LoweredWorkload,
-    cfg: &TrainConfig,
-    fault: &MidEpochFault,
-    tuner: &TunerMemo,
-) -> DynamicEpochReport {
-    let healthy = simulate_epoch_lowered_memo(sys, workload, cfg, tuner);
-    let degraded_sys = sys.with_faults(&fault.spec);
-    let degraded = simulate_epoch_lowered_memo(&degraded_sys, workload, cfg, tuner);
-    let n = healthy.iterations;
-    // The iteration the fault strikes in; saturates at `n` (never
-    // fires). f64->u64 is exact here: `at_fraction` is validated
-    // non-negative and `n` is far below 2^53.
-    let fault_iteration = ((fault.at_fraction * n as f64).floor() as u64).min(n);
-
-    if fault_iteration >= n || fault.spec.is_healthy() {
-        // Strikes at or after the last iteration completes: healthy
-        // epoch, and the "transition" iteration is an ordinary one.
-        return DynamicEpochReport {
-            transition_iter: healthy.iter_time,
-            fault_iteration,
-            epoch_time: healthy.epoch_time,
-            healthy,
-            degraded,
-        };
+) -> Result<EpochReport, EpochError> {
+    if !(fault.at_fraction.is_finite() && fault.at_fraction >= 0.0) {
+        return Err(EpochError::FaultFraction(fault.at_fraction));
     }
-    if fault_iteration == 0 {
+    // Validates the spec at any fraction, even one that never fires.
+    let degraded_sys = req.sys.try_with_faults(&fault.spec)?;
+    let healthy = EpochRequest {
+        fault: None,
+        ..*req
+    };
+    let degraded = EpochRequest {
+        sys: &degraded_sys,
+        ..healthy
+    };
+    let cfg = req.cfg;
+    let n = cfg
+        .dataset
+        .iterations(cfg.scaling, cfg.batch_per_gpu, cfg.gpu_count);
+    // The iteration the fault strikes in; saturates at `n` (never
+    // fires), as does the f64->u64 cast of a huge finite product.
+    let k = ((fault.at_fraction * n as f64).floor() as u64).min(n);
+    if k >= n || fault.spec.is_healthy() {
+        return healthy.run();
+    }
+    if k == 0 {
         // Broken from the start: identical to a construction-time
         // fault, where the communicator is built against the damaged
         // topology and no transition is ever paid.
-        return DynamicEpochReport {
-            transition_iter: degraded.iter_time,
-            fault_iteration,
-            epoch_time: degraded.epoch_time,
-            healthy,
-            degraded,
-        };
+        return degraded.run();
     }
+    let piecewise = compose(&healthy, &degraded, &fault.spec, k)?;
+    Ok(EpochReport {
+        epoch_time: piecewise.epoch_time,
+        ..piecewise.degraded
+    })
+}
 
+/// The three-run composition of `spec` striking `healthy` at
+/// iteration `k`, with `0 < k < iterations`; `degraded` is `healthy`
+/// on the statically degraded system. All runs price their tuning
+/// decisions through `healthy.tuner`.
+pub(crate) fn compose(
+    healthy: &EpochRequest<'_>,
+    degraded: &EpochRequest<'_>,
+    spec: &FaultSpec,
+    k: u64,
+) -> Result<DynamicEpochReport, EpochError> {
+    let (healthy_report, [t0, _, _]) = simulate_with_events(healthy, |_| Ok(Vec::new()))?;
+    let (degraded, _) = simulate_with_events(degraded, |_| Ok(Vec::new()))?;
     // Transition run: the *healthy* lowering, with the fault's dynamic
     // events firing halfway through the middle (steady-state)
     // iteration of the three-iteration pipeline. The fill `t0` and the
@@ -286,40 +254,42 @@ pub fn simulate_epoch_dynamic_lowered_memo(
     // exactly (the engine's event machinery is inert until `at`), so
     // `t1' - t0` prices one iteration that starts healthy and ends
     // re-routed.
-    let fill = healthy
-        .epoch_time
-        .saturating_sub(healthy.iter_time * n.saturating_sub(1));
-    let at = SimTime::ZERO + fill + healthy.iter_time / 2;
-    let (_, [t0, t1, _]) = simulate_epoch_lowered_with_events(sys, workload, cfg, tuner, |graph| {
-        lower_fault_events(graph, &sys.topo, &fault.spec, at)
-    });
-    let transition_iter = t1 - t0;
-    debug_assert_eq!(t0 - SimTime::ZERO, fill, "pre-fault fill must replay");
+    let at = t0 + healthy_report.iter_time / 2;
+    let (_, [t0_replay, t1, _]) = simulate_with_events(healthy, |graph| {
+        lower_fault_events(graph, &healthy.sys.topo, spec, at)
+    })?;
+    debug_assert_eq!(t0_replay, t0, "pre-fault fill must replay");
+    let transition_iter = t1 - t0_replay;
 
     // Piecewise epoch: healthy fill + (k-1) healthy steady iterations
     // + the transition iteration + the remaining iterations at the
     // renegotiated (statically degraded) pace.
-    let epoch_time = fill
-        + healthy.iter_time * (fault_iteration - 1)
-        + transition_iter
-        + degraded.iter_time * (n - fault_iteration - 1);
-    DynamicEpochReport {
-        transition_iter,
-        fault_iteration,
-        epoch_time,
-        healthy,
+    let n = healthy_report.iterations;
+    let epoch_time = epoch_span(&[
+        (t0 - SimTime::ZERO, 1),
+        (healthy_report.iter_time, k - 1),
+        (transition_iter, 1),
+        (degraded.iter_time, n - k - 1),
+    ])?;
+    Ok(DynamicEpochReport {
+        healthy: healthy_report,
         degraded,
-    }
+        transition_iter,
+        epoch_time,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use voltascope_comm::tuner::TunerMemo;
     use voltascope_comm::CommMethod;
-    use voltascope_dnn::zoo;
+    use voltascope_dnn::{zoo, Model};
     use voltascope_topo::Device;
+    use voltascope_workload::lower_model;
 
     use crate::dataset::{DatasetSpec, ScalingMode};
+    use crate::{SystemModel, TrainConfig};
 
     fn cfg(gpus: usize) -> TrainConfig {
         TrainConfig {
@@ -340,6 +310,41 @@ mod tests {
         FaultSpec::new().kill_link(Device::gpu(0), Device::gpu(1))
     }
 
+    /// [`compose`] of `spec` striking halfway through the epoch.
+    fn halfway(model: &Model, gpus: usize, spec: FaultSpec) -> DynamicEpochReport {
+        let sys = SystemModel::dgx1();
+        let degraded_sys = sys.with_faults(&spec);
+        let (workload, cfg) = (lower_model(model, 16).unwrap(), cfg(gpus));
+        let tuner = TunerMemo::new();
+        let healthy = EpochRequest {
+            sys: &sys,
+            workload: &workload,
+            cfg: &cfg,
+            fault: None,
+            tuner: &tuner,
+        };
+        let degraded = EpochRequest {
+            sys: &degraded_sys,
+            ..healthy
+        };
+        let k = cfg.dataset.iterations(cfg.scaling, 16, gpus) / 2;
+        compose(&healthy, &degraded, &spec, k).unwrap()
+    }
+
+    /// The `Debug` text of [`EpochRequest::run`] for `model` on `sys`,
+    /// struck by `fault` if given.
+    fn run(sys: &SystemModel, model: &Model, gpus: usize, fault: Option<&MidEpochFault>) -> String {
+        let (workload, cfg) = (lower_model(model, 16).unwrap(), cfg(gpus));
+        let request = EpochRequest {
+            sys,
+            workload: &workload,
+            cfg: &cfg,
+            fault,
+            tuner: &TunerMemo::new(),
+        };
+        format!("{:?}", request.run().unwrap())
+    }
+
     #[test]
     fn mid_epoch_dead_interface_lands_between_healthy_and_always_dead() {
         // All of GPU3's NVLink bricks die at 50%: the 8-GPU ring cannot
@@ -347,10 +352,8 @@ mod tests {
         // iterations run at the host-bounced pace — but the pre-fault
         // half of the epoch ran healthy, so the total sits strictly
         // between the healthy and always-dead epochs.
-        let sys = SystemModel::dgx1();
-        let model = zoo::alexnet();
         let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
-        let r = simulate_epoch_dynamic(&sys, &model, &cfg(8), &MidEpochFault::new(spec, 0.5));
+        let r = halfway(&zoo::alexnet(), 8, spec);
         assert!(
             r.degraded.epoch_time > r.healthy.epoch_time,
             "static fault was free"
@@ -367,7 +370,6 @@ mod tests {
             r.epoch_time,
             r.degraded.epoch_time
         );
-        assert!(r.fault_iteration > 0 && r.fault_iteration < r.healthy.iterations);
     }
 
     #[test]
@@ -377,10 +379,7 @@ mod tests {
         // degraded epoch matches the healthy one. The *transition*
         // iteration still pays — its in-flight ring was built over the
         // link that died, and the displaced transfers host-bounce.
-        let sys = SystemModel::dgx1();
-        let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.5));
+        let r = halfway(&zoo::alexnet(), 4, dead_link());
         assert_eq!(r.degraded.epoch_time, r.healthy.epoch_time);
         assert!(
             r.transition_iter > r.healthy.iter_time,
@@ -396,41 +395,41 @@ mod tests {
     fn fault_at_zero_equals_the_construction_time_fault() {
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.0));
-        assert_eq!(r.fault_iteration, 0);
-        assert_eq!(r.epoch_time, r.degraded.epoch_time);
+        let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
+        let fault = MidEpochFault::new(spec.clone(), 0.0);
+        let degraded = run(&sys.with_faults(&spec), &model, 8, None);
+        assert_eq!(run(&sys, &model, 8, Some(&fault)), degraded);
     }
 
     #[test]
     fn fault_past_the_epoch_equals_healthy() {
+        // Every column, not just the epoch time: a fault that never
+        // fires leaves the steady state healthy too.
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 1.0));
-        assert_eq!(r.epoch_time, r.healthy.epoch_time);
+        let healthy = run(&sys, &model, 8, None);
+        for at in [1.0, 2.0] {
+            let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
+            let fault = MidEpochFault::new(spec, at);
+            assert_eq!(run(&sys, &model, 8, Some(&fault)), healthy, "at {at}");
+        }
     }
 
     #[test]
     fn healthy_spec_is_a_no_op_at_any_fraction() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch_dynamic(
-            &sys,
-            &model,
-            &cfg(2),
-            &MidEpochFault::new(FaultSpec::new(), 0.5),
+        let fault = MidEpochFault::new(FaultSpec::new(), 0.5);
+        assert_eq!(
+            run(&sys, &model, 2, Some(&fault)),
+            run(&sys, &model, 2, None)
         );
-        assert_eq!(r.epoch_time, r.healthy.epoch_time);
-        assert_eq!(r.degraded.epoch_time, r.healthy.epoch_time);
     }
 
     #[test]
     fn mid_epoch_straggler_charges_the_transition_and_the_tail() {
-        let sys = SystemModel::dgx1();
-        let model = zoo::alexnet();
         let spec = FaultSpec::new().slow_gpu(Device::gpu(1), 1.5);
-        let r = simulate_epoch_dynamic(&sys, &model, &cfg(2), &MidEpochFault::new(spec, 0.5));
+        let r = halfway(&zoo::alexnet(), 2, spec);
         assert!(r.degraded.iter_time > r.healthy.iter_time);
         assert!(r.epoch_time > r.healthy.epoch_time);
         assert!(r.epoch_time < r.degraded.epoch_time);
@@ -453,7 +452,7 @@ mod tests {
             .kill_link(Device::gpu(0), Device::gpu(1))
             .slow_gpu(Device::gpu(1), 2.0);
         let at = SimTime::from_nanos(100);
-        let events = lower_fault_events(&graph, &sys.topo, &spec, at);
+        let events = lower_fault_events(&graph, &sys.topo, &spec, at).unwrap();
         // Two per-direction Fail events plus one compute Scale.
         let fails: Vec<_> = events
             .iter()
@@ -489,7 +488,7 @@ mod tests {
         let mut graph = TaskGraph::new();
         let _net = LinkNetwork::register(&mut graph, &sys.topo);
         let spec = FaultSpec::new().degrade_link(Device::gpu(0), Device::gpu(1), 0.5);
-        let events = lower_fault_events(&graph, &sys.topo, &spec, SimTime::ZERO);
+        let events = lower_fault_events(&graph, &sys.topo, &spec, SimTime::ZERO).unwrap();
         assert_eq!(events.len(), 2);
         for e in events {
             assert!(matches!(

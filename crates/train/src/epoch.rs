@@ -13,18 +13,29 @@
 //! the full epoch. This matches the paper's own observation that "the
 //! time spent during each of the three stages within an epoch will
 //! remain the same" (§IV-B).
+//!
+//! [`EpochRequest::run`] is the one entry point: it validates the
+//! request and returns a typed [`EpochError`] instead of panicking.
+//! [`simulate_epoch_lowered`] is its panicking shim.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Range;
 
 use voltascope_comm::tuner::TunerMemo;
-use voltascope_comm::{collective, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
-use voltascope_dnn::{Model, Stage};
+use voltascope_comm::{
+    collective, CommError, CommMethod, LinkNetwork, ReductionTree, Ring, Selection,
+};
+use voltascope_dnn::{GradientBucket, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
-use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
-use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
-use voltascope_workload::{lower_model, LoweredWorkload};
+use voltascope_sim::{
+    DynamicEvent, Engine, ResourceId, SimError, SimSpan, SimTime, TaskGraph, TaskId, Trace,
+};
+use voltascope_topo::{dgx1_v100, Device, FaultError, FaultSpec, Topology};
+use voltascope_workload::{LowerError, LoweredWorkload};
 
 use crate::dataset::{DatasetSpec, ScalingMode};
+use crate::dynamic::MidEpochFault;
 
 /// The simulated hardware/software platform.
 #[derive(Debug, Clone)]
@@ -100,13 +111,25 @@ impl SystemModel {
     /// [`Topology::apply`]) and per-GPU straggler factors are recorded
     /// for the kernel model. An empty fault spec returns an identical
     /// system.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`FaultError`]'s message when `faults` is
+    /// invalid for the topology ([`Topology::try_apply`]).
     pub fn with_faults(&self, faults: &FaultSpec) -> SystemModel {
+        self.try_with_faults(faults)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SystemModel::with_faults`], returning the spec's
+    /// [`FaultError`] instead of panicking.
+    pub(crate) fn try_with_faults(&self, faults: &FaultSpec) -> Result<SystemModel, FaultError> {
         let mut sys = self.clone();
-        sys.topo = self.topo.apply(faults);
+        sys.topo = self.topo.try_apply(faults)?;
         for (&g, &f) in faults.gpu_slowdowns() {
             *sys.gpu_slowdown.entry(g).or_insert(1.0) *= f;
         }
-        sys
+        Ok(sys)
     }
 
     /// Kernel cost model for device `g`, accounting for any straggler
@@ -211,102 +234,300 @@ impl EpochReport {
     }
 }
 
-/// Simulates one epoch of data-parallel training.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero batch/GPUs) or asks
-/// for more GPUs than the topology has.
+/// Why an [`EpochRequest`] could not be simulated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EpochError {
+    /// The workload could not be lowered.
+    Lower(LowerError),
+    /// NCCL tuning or a collective's emission failed.
+    Comm(CommError),
+    /// The fault spec is invalid for the topology.
+    Fault(FaultError),
+    /// The engine could not schedule the epoch's task graph.
+    Sim(SimError),
+    /// The configuration asks for a per-GPU batch of zero.
+    ZeroBatch,
+    /// The workload was lowered for a different batch than the
+    /// configuration asks for.
+    BatchMismatch {
+        /// The batch the workload was lowered for.
+        workload: usize,
+        /// The batch the configuration asks for.
+        config: usize,
+    },
+    /// The GPU count is zero or more than the topology has.
+    GpuCount {
+        /// The requested GPU count.
+        requested: usize,
+        /// The topology's GPU count.
+        available: usize,
+    },
+    /// A mid-epoch fault fraction that is NaN, infinite or negative.
+    FaultFraction(f64),
+    /// A hand-built workload with no kernels.
+    NoKernels(String),
+    /// A fused gradient bucket that no `bp.<layer>` kernel produces.
+    OrphanBucket(String),
+    /// A DAG whose layer count disagrees with the kernels, or whose
+    /// edges name a layer it does not have.
+    DagMismatch {
+        /// Layers in the DAG.
+        layers: usize,
+        /// Kernels in the workload (two per layer expected).
+        kernels: usize,
+    },
+    /// The epoch model's own `u64` or [`SimSpan`] arithmetic
+    /// overflowed; names the quantity.
+    Overflow(&'static str),
+}
+
+impl fmt::Display for EpochError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EpochError::Lower(e) => e.fmt(f),
+            EpochError::Comm(e) => e.fmt(f),
+            EpochError::Fault(e) => e.fmt(f),
+            EpochError::Sim(e) => e.fmt(f),
+            EpochError::ZeroBatch => write!(f, "batch size must be positive"),
+            EpochError::BatchMismatch { workload, config } => write!(
+                f,
+                "workload lowered for batch {workload} but config asks for {config}"
+            ),
+            EpochError::GpuCount {
+                requested,
+                available,
+            } => write!(
+                f,
+                "gpu_count {requested} out of range (the topology has {available})"
+            ),
+            EpochError::FaultFraction(x) => {
+                write!(f, "fault fraction {x} must be finite and non-negative")
+            }
+            EpochError::NoKernels(w) => write!(f, "workload `{w}` has no kernels"),
+            EpochError::OrphanBucket(b) => {
+                write!(f, "gradient bucket `{b}` has no backward kernel")
+            }
+            EpochError::DagMismatch { layers, kernels } => {
+                write!(f, "a DAG of {layers} layers does not fit {kernels} kernels")
+            }
+            EpochError::Overflow(what) => write!(f, "{what} overflows u64"),
+        }
+    }
+}
+
+impl std::error::Error for EpochError {}
+
+impl From<LowerError> for EpochError {
+    fn from(e: LowerError) -> Self {
+        EpochError::Lower(e)
+    }
+}
+
+impl From<CommError> for EpochError {
+    fn from(e: CommError) -> Self {
+        EpochError::Comm(e)
+    }
+}
+
+impl From<FaultError> for EpochError {
+    fn from(e: FaultError) -> Self {
+        EpochError::Fault(e)
+    }
+}
+
+impl From<SimError> for EpochError {
+    fn from(e: SimError) -> Self {
+        EpochError::Sim(e)
+    }
+}
+
+/// One epoch of data-parallel training to simulate: the platform, the
+/// lowered workload (a [`WorkloadSpec`](voltascope_workload::WorkloadSpec)
+/// or a built model lowered at the config's batch), the configuration,
+/// an optional fault striking partway through, and the memo the NCCL
+/// tuning decisions are priced through. A sweep passes one memo to
+/// every cell so each distinct decision is simulated once; the report
+/// does not depend on what the memo holds. A one-off caller passes
+/// `&TunerMemo::new()`, which does not allocate.
 ///
 /// # Example
 ///
 /// ```
-/// use voltascope_comm::CommMethod;
+/// use voltascope_comm::{tuner::TunerMemo, CommMethod};
 /// use voltascope_dnn::zoo;
-/// use voltascope_train::{simulate_epoch, SystemModel, TrainConfig};
+/// use voltascope_train::{EpochError, EpochRequest, SystemModel, TrainConfig};
+/// use voltascope_workload::lower_model;
 ///
 /// let sys = SystemModel::dgx1();
-/// let model = zoo::lenet();
-/// let one = simulate_epoch(&sys, &model, &TrainConfig::strong(16, 1, CommMethod::P2p));
-/// let four = simulate_epoch(&sys, &model, &TrainConfig::strong(16, 4, CommMethod::P2p));
+/// let lenet = lower_model(&zoo::lenet(), 16).unwrap();
+/// let tuner = TunerMemo::new();
+/// let epoch = |gpus| {
+///     let cfg = TrainConfig::strong(16, gpus, CommMethod::P2p);
+///     EpochRequest { sys: &sys, workload: &lenet, cfg: &cfg, fault: None, tuner: &tuner }.run()
+/// };
+/// let (one, four) = (epoch(1).unwrap(), epoch(4).unwrap());
 /// // More GPUs train faster, but sublinearly for tiny LeNet.
 /// assert!(four.epoch_time < one.epoch_time);
 /// assert!(four.epoch_time > one.epoch_time / 4);
+/// // The DGX-1 has eight GPUs.
+/// assert!(matches!(epoch(9), Err(EpochError::GpuCount { requested: 9, .. })));
 /// ```
-pub fn simulate_epoch(sys: &SystemModel, model: &Model, cfg: &TrainConfig) -> EpochReport {
-    let lowered = lower_model(model, cfg.batch_per_gpu).unwrap_or_else(|e| panic!("{e}"));
-    simulate_epoch_lowered(sys, &lowered, cfg)
+#[derive(Debug, Clone, Copy)]
+pub struct EpochRequest<'a> {
+    /// The simulated platform. With a `fault`, the healthy one.
+    pub sys: &'a SystemModel,
+    /// The workload, lowered for `cfg.batch_per_gpu`.
+    pub workload: &'a LoweredWorkload,
+    /// The training configuration.
+    pub cfg: &'a TrainConfig,
+    /// A fault striking partway through the epoch (see
+    /// [`crate::dynamic`]).
+    pub fault: Option<&'a MidEpochFault>,
+    /// The memo NCCL tuning decisions are priced through.
+    pub tuner: &'a TunerMemo,
+}
+
+impl EpochRequest<'_> {
+    /// Simulates the epoch. With a `fault`, the report's steady-state
+    /// columns (`iter_time`, `iter_trace`, utilisation, ...) describe
+    /// the post-fault regime and `epoch_time` is the piecewise epoch;
+    /// a fault that never fires returns the healthy report, one that
+    /// fires at iteration 0 the statically degraded one.
+    ///
+    /// # Errors
+    ///
+    /// Any [`EpochError`]: a degenerate configuration or hand-built
+    /// workload, an invalid fault, a failed tuning decision, or an
+    /// overflow of the epoch model's arithmetic.
+    pub fn run(&self) -> Result<EpochReport, EpochError> {
+        let (cfg, workload) = (self.cfg, self.workload);
+        if cfg.batch_per_gpu == 0 {
+            return Err(EpochError::ZeroBatch);
+        }
+        if workload.batch != cfg.batch_per_gpu {
+            return Err(EpochError::BatchMismatch {
+                workload: workload.batch,
+                config: cfg.batch_per_gpu,
+            });
+        }
+        let available = self.sys.topo.gpu_count();
+        if cfg.gpu_count == 0 || cfg.gpu_count > available {
+            return Err(EpochError::GpuCount {
+                requested: cfg.gpu_count,
+                available,
+            });
+        }
+        if workload.buckets.is_empty() {
+            return Err(LowerError::NoParameters(workload.name.clone()).into());
+        }
+        if let Some(dag) = &workload.dag {
+            let n = dag.preds.len();
+            let in_range = dag.preds.iter().chain(&dag.succs).flatten().all(|&l| l < n);
+            if 2 * n != workload.kernels.len() || dag.succs.len() != n || !in_range {
+                return Err(EpochError::DagMismatch {
+                    layers: n,
+                    kernels: workload.kernels.len(),
+                });
+            }
+        }
+        match self.fault {
+            None => Ok(simulate_with_events(self, |_| Ok(Vec::new()))?.0),
+            Some(fault) => crate::dynamic::run_faulted(self, fault),
+        }
+    }
 }
 
 /// Simulates one epoch of data-parallel training from an
-/// already-lowered workload: the data-driven twin of
-/// [`simulate_epoch`], consuming the kernel/bucket profile a
-/// [`WorkloadSpec`](voltascope_workload::WorkloadSpec) or a built
-/// model lowers to. All pipeline assembly — bucket fusion, the FP/BP
-/// kernel chains, the P2P and NCCL weight-update schedules — lives
-/// here; `simulate_epoch` is a thin wrapper that lowers its model
-/// first, so both entry points produce bit-identical reports for
-/// equivalent inputs.
+/// already-lowered workload: [`EpochRequest::run`] without a fault and
+/// with a call-local tuner memo.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (zero batch, GPU count
-/// outside the topology) or `workload.batch` disagrees with
-/// `cfg.batch_per_gpu`.
+/// Panics with the [`EpochError`]'s message where
+/// [`EpochRequest::run`] returns one.
 pub fn simulate_epoch_lowered(
     sys: &SystemModel,
     workload: &LoweredWorkload,
     cfg: &TrainConfig,
 ) -> EpochReport {
-    simulate_epoch_lowered_memo(sys, workload, cfg, &TunerMemo::new())
+    let tuner = TunerMemo::new();
+    let request = EpochRequest {
+        sys,
+        workload,
+        cfg,
+        fault: None,
+        tuner: &tuner,
+    };
+    request.run().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`simulate_epoch_lowered`] with its NCCL tuning decisions priced
-/// through `tuner`, so a sweep that passes one memo to every cell
-/// simulates each distinct decision once. The report is identical to
-/// [`simulate_epoch_lowered`]'s whatever the memo holds.
+/// Bucket fusion: merges consecutive per-layer gradient buckets (in
+/// backward-completion order) until each fused bucket reaches
+/// `threshold` bytes; a tail that never reaches it joins the previous
+/// fused bucket. A threshold of `0` keeps the per-layer buckets.
+/// Returns each fused bucket, named `bucket{i}`, with the range of
+/// `layer_buckets` it holds; it is ready when its last member's
+/// backward kernel finishes.
 ///
-/// # Panics
+/// # Errors
 ///
-/// As [`simulate_epoch_lowered`].
-pub fn simulate_epoch_lowered_memo(
-    sys: &SystemModel,
-    workload: &LoweredWorkload,
-    cfg: &TrainConfig,
-    tuner: &TunerMemo,
-) -> EpochReport {
-    simulate_epoch_lowered_with_events(sys, workload, cfg, tuner, |_| Vec::new()).0
+/// [`EpochError::Overflow`] when a fused bucket's bytes overflow `u64`.
+pub fn fuse_buckets(
+    layer_buckets: &[GradientBucket],
+    threshold: u64,
+) -> Result<Vec<(GradientBucket, Range<usize>)>, EpochError> {
+    let overflow = || EpochError::Overflow("fused gradient bucket bytes");
+    let mut fused: Vec<(GradientBucket, Range<usize>)> = Vec::new();
+    let (mut start, mut acc) = (0, 0u64);
+    for (i, b) in layer_buckets.iter().enumerate() {
+        acc = acc.checked_add(b.bytes).ok_or_else(overflow)?;
+        if acc >= threshold.max(1) {
+            let name = format!("bucket{}", fused.len());
+            fused.push((GradientBucket { name, bytes: acc }, start..i + 1));
+            (start, acc) = (i + 1, 0);
+        }
+    }
+    if start < layer_buckets.len() {
+        match fused.last_mut() {
+            Some((last, members)) => {
+                last.bytes = last.bytes.checked_add(acc).ok_or_else(overflow)?;
+                members.end = layer_buckets.len();
+            }
+            None => {
+                let name = "bucket0".to_string();
+                fused.push((GradientBucket { name, bytes: acc }, 0..layer_buckets.len()));
+            }
+        }
+    }
+    Ok(fused)
 }
 
-/// The full lowering with a mid-run dynamic-event hook: `events` sees
-/// the assembled task graph (to resolve resources by name) and returns
-/// the [`DynamicEvent`]s to inject; the engine then runs via
-/// [`Engine::run_with_events`]. With no events this is bit-identical
-/// to [`Engine::run`] — `simulate_epoch_lowered` is exactly this call
-/// with an empty hook, so the healthy path cannot drift. Also returns
-/// the three iteration-marker finish instants (pipeline fill `t0`,
-/// then the steady-state window ends `t1`, `t2`) that the mid-epoch
-/// fault model in [`crate::dynamic`] needs. NCCL tuning decisions go
-/// through `tuner`.
-pub(crate) fn simulate_epoch_lowered_with_events(
-    sys: &SystemModel,
-    workload: &LoweredWorkload,
-    cfg: &TrainConfig,
-    tuner: &TunerMemo,
-    events: impl FnOnce(&TaskGraph) -> Vec<DynamicEvent>,
-) -> (EpochReport, [voltascope_sim::SimTime; 3]) {
-    assert!(cfg.batch_per_gpu > 0, "batch size must be positive");
-    assert_eq!(
-        workload.batch, cfg.batch_per_gpu,
-        "workload lowered for batch {} but config asks for {}",
-        workload.batch, cfg.batch_per_gpu
-    );
-    assert!(
-        cfg.gpu_count >= 1 && cfg.gpu_count <= sys.topo.gpu_count(),
-        "gpu_count {} out of range",
-        cfg.gpu_count
-    );
+/// `Σ span × count`, or [`EpochError::Overflow`] when it leaves the
+/// `u64` nanosecond range.
+pub(crate) fn epoch_span(terms: &[(SimSpan, u64)]) -> Result<SimSpan, EpochError> {
+    terms
+        .iter()
+        .try_fold(0u64, |acc, &(span, n)| {
+            span.as_nanos().checked_mul(n)?.checked_add(acc)
+        })
+        .map(SimSpan::from_nanos)
+        .ok_or(EpochError::Overflow("epoch time"))
+}
 
+/// The full lowering of an already validated request, with a mid-run
+/// dynamic-event hook: `events` sees the assembled task graph (to
+/// resolve resources by name) and returns the [`DynamicEvent`]s to
+/// inject; the engine then runs via [`Engine::run_with_events`]. With
+/// no events this is bit-identical to [`Engine::run`], so the healthy
+/// path cannot drift. Also returns the three iteration-marker finish
+/// instants (pipeline fill `t0`, then the steady-state window ends
+/// `t1`, `t2`) that the mid-epoch fault model in [`crate::dynamic`]
+/// needs. Ignores `req.fault`.
+pub(crate) fn simulate_with_events(
+    req: &EpochRequest<'_>,
+    events: impl FnOnce(&TaskGraph) -> Result<Vec<DynamicEvent>, FaultError>,
+) -> Result<(EpochReport, [SimTime; 3]), EpochError> {
+    let (sys, workload, cfg, tuner) = (req.sys, req.workload, req.cfg, req.tuner);
     let mut graph = TaskGraph::new();
     let net = LinkNetwork::register(&mut graph, &sys.topo);
     let gpus: Vec<Device> = (0..cfg.gpu_count).map(|g| Device::gpu(g as u8)).collect();
@@ -330,52 +551,22 @@ pub(crate) fn simulate_epoch_lowered_with_events(
         gpus.iter().map(|&d| (d, sys.kernels_of(d))).collect();
 
     let kernels = &workload.kernels;
-    let layer_buckets = &workload.buckets;
-    // Optional fusion: group consecutive per-layer buckets until each
-    // fused bucket reaches the threshold. `groups[i]` lists the layer
-    // buckets merged into fused bucket i; a fused bucket is ready when
-    // its last member's backward kernel finishes.
-    let mut buckets: Vec<voltascope_dnn::GradientBucket> = Vec::new();
-    let mut member_of: BTreeMap<&str, usize> = BTreeMap::new();
-    {
-        let mut acc_bytes = 0u64;
-        let mut acc_names: Vec<&str> = Vec::new();
-        for b in layer_buckets {
-            acc_bytes += b.bytes;
-            acc_names.push(&b.name);
-            if acc_bytes >= cfg.bucket_fusion_bytes.max(1) {
-                let idx = buckets.len();
-                for n in acc_names.drain(..) {
-                    member_of.insert(n, idx);
-                }
-                buckets.push(voltascope_dnn::GradientBucket {
-                    name: format!("bucket{idx}"),
-                    bytes: acc_bytes,
-                });
-                acc_bytes = 0;
-            }
-        }
-        if !acc_names.is_empty() {
-            // Tail group merges into the previous bucket if one exists.
-            if let Some(last) = buckets.last_mut() {
-                last.bytes += acc_bytes;
-                let idx = buckets.len() - 1;
-                for n in acc_names {
-                    member_of.insert(n, idx);
-                }
-            } else {
-                for n in acc_names {
-                    member_of.insert(n, 0);
-                }
-                buckets.push(voltascope_dnn::GradientBucket {
-                    name: "bucket0".to_string(),
-                    bytes: acc_bytes,
-                });
-            }
+    let fused = fuse_buckets(&workload.buckets, cfg.bucket_fusion_bytes)?;
+    // Which fused bucket each layer's gradients travel in.
+    let mut bucket_index: BTreeMap<&str, usize> = BTreeMap::new();
+    for (i, (_, members)) in fused.iter().enumerate() {
+        for b in &workload.buckets[members.clone()] {
+            bucket_index.insert(&b.name, i);
         }
     }
-    let bucket_index = member_of;
-    let batch_bytes = cfg.batch_per_gpu as u64 * DatasetSpec::image_bytes(&workload.input_shape);
+    let buckets: Vec<GradientBucket> = fused.into_iter().map(|(b, _)| b).collect();
+    // The weight-update kernels move up to 5x a bucket's bytes.
+    if buckets.iter().any(|b| b.bytes.checked_mul(5).is_none()) {
+        return Err(EpochError::Overflow("weight-update traffic"));
+    }
+    let batch_bytes = (cfg.batch_per_gpu as u64)
+        .checked_mul(DatasetSpec::image_bytes(&workload.input_shape))
+        .ok_or(EpochError::Overflow("mini-batch bytes"))?;
     let ring = Ring::build(&sys.topo, cfg.gpu_count);
     let tree = ReductionTree::new(cfg.gpu_count);
     // Tune the NCCL (algorithm, protocol, channels) per distinct
@@ -392,15 +583,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             .collect::<std::collections::BTreeSet<u64>>()
             .into_iter()
             .map(|bytes| {
-                let ar = tuner
-                    .choose_all_reduce(&sys.topo, &ring, bytes, &sys.nccl)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                let bc = tuner
-                    .choose_broadcast(&sys.topo, &ring, bytes, &sys.nccl)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                (bytes, (ar, bc))
+                let ar = tuner.choose_all_reduce(&sys.topo, &ring, bytes, &sys.nccl)?;
+                let bc = tuner.choose_broadcast(&sys.topo, &ring, bytes, &sys.nccl)?;
+                Ok((bytes, (ar, bc)))
             })
-            .collect(),
+            .collect::<Result<_, CommError>>()?,
         CommMethod::P2p => BTreeMap::new(),
     };
 
@@ -445,7 +632,6 @@ pub(crate) fn simulate_epoch_lowered_with_events(
         // Per GPU, per bucket: the BP kernel that produced the bucket.
         let mut bucket_ready: Vec<Vec<Option<TaskId>>> =
             vec![vec![None; buckets.len()]; cfg.gpu_count];
-        let mut fp_bp_tail: Vec<TaskId> = Vec::with_capacity(cfg.gpu_count);
         let mut host_tail: Vec<TaskId> = Vec::with_capacity(cfg.gpu_count);
 
         for (gi, &g) in gpus.iter().enumerate() {
@@ -535,8 +721,10 @@ pub(crate) fn simulate_epoch_lowered_with_events(
                     }
                 }
             }
+            let last_issued =
+                kernel_prev.ok_or_else(|| EpochError::NoKernels(workload.name.clone()))?;
             let last_kernel = match &workload.dag {
-                None => kernel_prev.expect("model has at least one layer"),
+                None => last_issued,
                 Some(dag) => {
                     // FP of layer `li` sits at kernel index `li`, its
                     // BP at `2n - 1 - li` (BP kernels are emitted in
@@ -572,7 +760,6 @@ pub(crate) fn simulate_epoch_lowered_with_events(
                     *slot = Some(last_kernel);
                 }
             }
-            fp_bp_tail.push(last_kernel);
             // End-of-compute stream synchronisation.
             let sync = graph
                 .task(format!("{p}/sync.fpbp@{g}"))
@@ -592,10 +779,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             .into_iter()
             .map(|v| {
                 v.into_iter()
-                    .collect::<Option<Vec<TaskId>>>()
-                    .expect("every bucket has a BP kernel")
+                    .zip(&buckets)
+                    .map(|(ready, b)| ready.ok_or_else(|| EpochError::OrphanBucket(b.name.clone())))
+                    .collect()
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         // ---- WU stage. ----
         let wu_done: Vec<Vec<TaskId>> = match cfg.comm {
@@ -640,7 +828,7 @@ pub(crate) fn simulate_epoch_lowered_with_events(
                 build_nccl_wu(
                     &mut graph, &net, sys, &kmodels, &buckets, &gpus, &compute, &ring, &nccl_sel,
                     &gated, &p,
-                )
+                )?
             }
         };
 
@@ -672,14 +860,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             .after_all(iter_done_per_gpu)
             .build();
         markers.push(marker);
-        let _ = fp_bp_tail;
     }
 
     // ---- Execute and extract. ----
-    let dynamic = events(&graph);
-    let schedule = Engine::new()
-        .run_with_events(&graph, &dynamic)
-        .expect("training graph is acyclic by construction");
+    let dynamic = events(&graph)?;
+    let schedule = Engine::new().run_with_events(&graph, &dynamic)?;
     // The blocking chain runs earliest-first through whatever each
     // task waited on; keep the steady-state slice (the middle
     // iteration's tasks).
@@ -696,8 +881,10 @@ pub(crate) fn simulate_epoch_lowered_with_events(
         .dataset
         .iterations(cfg.scaling, cfg.batch_per_gpu, cfg.gpu_count);
     // Epoch = first (fill) iteration + steady-state repetitions.
-    let epoch_time =
-        (t0 - voltascope_sim::SimTime::ZERO) + iter_time * iterations.saturating_sub(1);
+    let epoch_time = epoch_span(&[
+        (t0 - SimTime::ZERO, 1),
+        (iter_time, iterations.saturating_sub(1)),
+    ])?;
 
     // Middle-iteration event window [t0, t1].
     let trace = schedule.trace();
@@ -750,13 +937,13 @@ pub(crate) fn simulate_epoch_lowered_with_events(
         .map(|mut e| {
             let offset = e.start - base;
             let len = e.duration();
-            e.start = voltascope_sim::SimTime::ZERO + offset;
+            e.start = SimTime::ZERO + offset;
             e.end = e.start + len;
             e
         })
         .collect();
 
-    (
+    Ok((
         EpochReport {
             iterations,
             iter_time,
@@ -770,7 +957,7 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             critical_chain,
         },
         [t0, t1, t2],
-    )
+    ))
 }
 
 /// MXNet `device` kvstore: tree-reduce every gradient bucket onto GPU0,
@@ -781,7 +968,7 @@ fn build_p2p_wu(
     net: &LinkNetwork,
     sys: &SystemModel,
     kmodels: &BTreeMap<Device, KernelCostModel>,
-    buckets: &[voltascope_dnn::GradientBucket],
+    buckets: &[GradientBucket],
     gpus: &[Device],
     compute: &BTreeMap<Device, ResourceId>,
     host: &BTreeMap<Device, ResourceId>,
@@ -874,14 +1061,14 @@ fn build_nccl_wu(
     net: &LinkNetwork,
     sys: &SystemModel,
     kmodels: &BTreeMap<Device, KernelCostModel>,
-    buckets: &[voltascope_dnn::GradientBucket],
+    buckets: &[GradientBucket],
     gpus: &[Device],
     compute: &BTreeMap<Device, ResourceId>,
     ring: &Ring,
     selections: &BTreeMap<u64, (Selection, Selection)>,
     bucket_ready: &[Vec<TaskId>],
     prefix: &str,
-) -> Vec<Vec<TaskId>> {
+) -> Result<Vec<Vec<TaskId>>, EpochError> {
     let n = gpus.len();
     let mut done: Vec<Vec<TaskId>> = vec![Vec::with_capacity(buckets.len()); n];
 
@@ -906,8 +1093,7 @@ fn build_nccl_wu(
             &sys.nccl,
             sel_ar,
             &format!("{prefix}/wu.ar.{}", bucket.name),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        )?;
         let upd = graph
             .task(format!("{prefix}/wu.update.{}", bucket.name))
             .on(compute[&gpus[0]])
@@ -930,19 +1116,24 @@ fn build_nccl_wu(
             &sys.nccl,
             sel_bc,
             &format!("{prefix}/wu.bc.{}", bucket.name),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        )?;
         for (g, &d) in gpus.iter().enumerate() {
             done[g].push(bc[&d]);
         }
     }
-    done
+    Ok(done)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voltascope_dnn::zoo;
+    use voltascope_dnn::{zoo, Model};
+    use voltascope_workload::lower_model;
+
+    /// The shim on a built model, lowered at the config's batch.
+    pub(super) fn epoch(sys: &SystemModel, model: &Model, cfg: &TrainConfig) -> EpochReport {
+        simulate_epoch_lowered(sys, &lower_model(model, cfg.batch_per_gpu).unwrap(), cfg)
+    }
 
     fn quick_dataset() -> DatasetSpec {
         DatasetSpec {
@@ -967,9 +1158,9 @@ mod tests {
     fn multi_gpu_reduces_epoch_time() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let r2 = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
-        let r4 = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let r1 = epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let r2 = epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let r4 = epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
         assert!(r2.epoch_time < r1.epoch_time);
         assert!(r4.epoch_time < r2.epoch_time);
         // Sublinear for LeNet: communication cannot be hidden.
@@ -981,9 +1172,9 @@ mod tests {
     fn larger_batches_reduce_epoch_time() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let b16 = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
-        let b32 = simulate_epoch(&sys, &model, &cfg(32, 2, CommMethod::P2p));
-        let b64 = simulate_epoch(&sys, &model, &cfg(64, 2, CommMethod::P2p));
+        let b16 = epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let b32 = epoch(&sys, &model, &cfg(32, 2, CommMethod::P2p));
+        let b64 = epoch(&sys, &model, &cfg(64, 2, CommMethod::P2p));
         assert!(b32.epoch_time < b16.epoch_time);
         assert!(b64.epoch_time < b32.epoch_time);
     }
@@ -993,8 +1184,8 @@ mod tests {
         // Table II: the NCCL code path is pure overhead at GPU count 1.
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let p2p = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let nccl = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::Nccl));
+        let p2p = epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let nccl = epoch(&sys, &model, &cfg(16, 1, CommMethod::Nccl));
         assert!(nccl.epoch_time > p2p.epoch_time);
     }
 
@@ -1002,8 +1193,8 @@ mod tests {
     fn wu_exists_only_with_multiple_gpus_meaningfully() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let r4 = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let r1 = epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let r4 = epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
         // Single-GPU WU is just the update kernels: far below FP+BP.
         assert!(r1.wu_iter < r1.fp_bp_iter / 2);
         assert!(r4.wu_iter > r1.wu_iter);
@@ -1013,7 +1204,7 @@ mod tests {
     fn report_identities_hold() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch(&sys, &model, &cfg(32, 2, CommMethod::Nccl));
+        let r = epoch(&sys, &model, &cfg(32, 2, CommMethod::Nccl));
         assert_eq!(r.fp_bp_iter + r.wu_iter, r.iter_time);
         assert!(r.compute_utilization > 0.0 && r.compute_utilization < 1.0);
         assert!(!r.iter_trace.is_empty());
@@ -1027,8 +1218,8 @@ mod tests {
         let model = zoo::lenet();
         let mut weak = cfg(16, 4, CommMethod::P2p);
         weak.scaling = ScalingMode::Weak;
-        let strong = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
-        let weak = simulate_epoch(&sys, &model, &weak);
+        let strong = epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let weak = epoch(&sys, &model, &weak);
         assert_eq!(weak.iterations, strong.iterations * 4);
         assert_eq!(weak.iter_time, strong.iter_time);
     }
@@ -1037,18 +1228,18 @@ mod tests {
     fn simulation_is_deterministic() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let a = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let b = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let a = epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let b = epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
         assert_eq!(a.epoch_time, b.epoch_time);
         assert_eq!(a.iter_time, b.iter_time);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn too_many_gpus_panics() {
+    #[should_panic(expected = "gpu_count 9 out of range")]
+    fn too_many_gpus_panic_in_the_shim() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let _ = simulate_epoch(&sys, &model, &cfg(16, 9, CommMethod::P2p));
+        let _ = epoch(&sys, &model, &cfg(16, 9, CommMethod::P2p));
     }
 
     #[test]
@@ -1056,8 +1247,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let degraded = sys.with_faults(&FaultSpec::new());
         let model = zoo::lenet();
-        let a = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let b = simulate_epoch(&degraded, &model, &cfg(16, 4, CommMethod::Nccl));
+        let a = epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let b = epoch(&degraded, &model, &cfg(16, 4, CommMethod::Nccl));
         assert_eq!(a.epoch_time, b.epoch_time);
         assert_eq!(a.iter_time, b.iter_time);
     }
@@ -1069,8 +1260,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let slow = sys.with_faults(&FaultSpec::new().slow_gpu(Device::gpu(3), 2.0));
         let model = zoo::alexnet();
-        let healthy = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let degraded = simulate_epoch(&slow, &model, &cfg(16, 4, CommMethod::Nccl));
+        let healthy = epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let degraded = epoch(&slow, &model, &cfg(16, 4, CommMethod::Nccl));
         assert!(
             degraded.iter_time > healthy.iter_time,
             "straggler did not slow the iteration: {} vs {}",
@@ -1080,8 +1271,8 @@ mod tests {
         // But nowhere near 2x the whole epoch either: only GPU3's
         // kernels run slow, and a single-GPU run without it is
         // unaffected entirely.
-        let healthy1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let degraded1 = simulate_epoch(&slow, &model, &cfg(16, 1, CommMethod::P2p));
+        let healthy1 = epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let degraded1 = epoch(&slow, &model, &cfg(16, 1, CommMethod::P2p));
         assert_eq!(healthy1.epoch_time, degraded1.epoch_time);
     }
 
@@ -1148,7 +1339,7 @@ mod tests {
     fn critical_chain_is_reported_for_the_steady_iteration() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let r = epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
         assert!(!r.critical_chain.is_empty());
         // Labels are it1-scoped with the prefix stripped.
         assert!(r.critical_chain.iter().all(|l| !l.starts_with("it")));
@@ -1162,8 +1353,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let dead = sys.with_faults(&FaultSpec::new().kill_nvlinks_of(Device::gpu(3)));
         let model = zoo::alexnet();
-        let healthy = simulate_epoch(&sys, &model, &cfg(16, 8, CommMethod::Nccl));
-        let degraded = simulate_epoch(&dead, &model, &cfg(16, 8, CommMethod::Nccl));
+        let healthy = epoch(&sys, &model, &cfg(16, 8, CommMethod::Nccl));
+        let degraded = epoch(&dead, &model, &cfg(16, 8, CommMethod::Nccl));
         assert!(
             degraded.epoch_time > healthy.epoch_time,
             "dead NVLink interface did not slow NCCL: {} vs {}",
@@ -1175,6 +1366,7 @@ mod tests {
 
 #[cfg(test)]
 mod fusion_tests {
+    use super::tests::epoch;
     use super::*;
     use voltascope_dnn::zoo;
 
@@ -1203,8 +1395,8 @@ mod fusion_tests {
         // ResNet buckets into a handful must shorten the WU stage.
         let sys = SystemModel::dgx1();
         let model = zoo::resnet50();
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused_with(0, CommMethod::P2p));
-        let fused = simulate_epoch(&sys, &model, &cfg_fused_with(16 << 20, CommMethod::P2p));
+        let per_layer = epoch(&sys, &model, &cfg_fused_with(0, CommMethod::P2p));
+        let fused = epoch(&sys, &model, &cfg_fused_with(16 << 20, CommMethod::P2p));
         assert!(
             fused.wu_iter < per_layer.wu_iter,
             "fused {} vs per-layer {}",
@@ -1221,8 +1413,8 @@ mod fusion_tests {
         // stage shifts only mildly in either direction.
         let sys = SystemModel::dgx1();
         let model = zoo::resnet50();
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused(0));
-        let fused = simulate_epoch(&sys, &model, &cfg_fused(16 << 20));
+        let per_layer = epoch(&sys, &model, &cfg_fused(0));
+        let fused = epoch(&sys, &model, &cfg_fused(16 << 20));
         let ratio = fused.wu_iter.as_secs_f64() / per_layer.wu_iter.as_secs_f64();
         assert!(
             (0.5..1.5).contains(&ratio),
@@ -1238,17 +1430,42 @@ mod fusion_tests {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
         for fusion in [0u64, 1 << 10, 1 << 20, u64::MAX / 2] {
-            let r = simulate_epoch(&sys, &model, &cfg_fused(fusion));
+            let r = epoch(&sys, &model, &cfg_fused(fusion));
             assert!(!r.epoch_time.is_zero());
         }
+    }
+
+    #[test]
+    fn fusion_groups_consecutive_buckets_and_merges_the_tail() {
+        let layer = |name: &str, bytes| GradientBucket {
+            name: name.into(),
+            bytes,
+        };
+        let buckets = [layer("d", 3), layer("c", 2), layer("b", 4), layer("a", 1)];
+        let fused = |threshold| -> Vec<(u64, Range<usize>)> {
+            let f = fuse_buckets(&buckets, threshold).unwrap();
+            f.into_iter().map(|(b, r)| (b.bytes, r)).collect()
+        };
+        assert_eq!(fused(0), [(3, 0..1), (2, 1..2), (4, 2..3), (1, 3..4)]);
+        // {d, c} reaches 5; {b, a} does too; nothing is left over.
+        assert_eq!(fused(5), [(5, 0..2), (5, 2..4)]);
+        // {d, c, b} passes 6; the short tail {a} joins it.
+        assert_eq!(fused(6), [(10, 0..4)]);
+        assert_eq!(fused(u64::MAX), [(10, 0..4)]);
+        assert_eq!(fuse_buckets(&buckets, 0).unwrap()[2].0.name, "bucket2");
+        let huge = [layer("x", u64::MAX), layer("y", 1)];
+        assert_eq!(
+            fuse_buckets(&huge, u64::MAX).unwrap_err(),
+            EpochError::Overflow("fused gradient bucket bytes")
+        );
     }
 
     #[test]
     fn full_fusion_behaves_like_single_bucket() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let one = simulate_epoch(&sys, &model, &cfg_fused(u64::MAX / 2));
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused(0));
+        let one = epoch(&sys, &model, &cfg_fused(u64::MAX / 2));
+        let per_layer = epoch(&sys, &model, &cfg_fused(0));
         // A single bucket loses all BP/WU pipelining granularity but
         // pays the per-collective overhead once.
         assert_ne!(one.iter_time, per_layer.iter_time);

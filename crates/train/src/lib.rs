@@ -10,13 +10,15 @@
 //!   is enforced by tests. [`AsyncParameterServer`] implements the ASGD
 //!   alternative of §II-B, with its delayed-gradient staleness
 //!   measurable.
-//! * **Timing** — [`simulate_epoch`] lowers one configuration (model x
-//!   batch x GPU count x [`CommMethod`](voltascope_comm::CommMethod))
-//!   onto the discrete-event engine: API calls on host threads, kernels
-//!   on compute streams, gradient buckets flowing over NVLink/PCIe as
-//!   soon as backward produces them (MXNet's BP/WU overlap), with
-//!   either the P2P parameter-server schedule or NCCL-style ring
-//!   collectives.
+//! * **Timing** — [`EpochRequest::run`] lowers one configuration
+//!   (workload x batch x GPU count x
+//!   [`CommMethod`](voltascope_comm::CommMethod), optionally struck by
+//!   a [`MidEpochFault`]) onto the discrete-event engine: API calls on
+//!   host threads, kernels on compute streams, gradient buckets
+//!   flowing over NVLink/PCIe as soon as backward produces them
+//!   (MXNet's BP/WU overlap), with either the P2P parameter-server
+//!   schedule or NCCL-style ring collectives. A request it cannot
+//!   simulate is a typed [`EpochError`], not a panic.
 //!
 //! [`MemoryModel`] reproduces the `nvidia-smi` readings of Table IV,
 //! including GPU0's batch-independent parameter-server overhead.
@@ -24,13 +26,20 @@
 //! # Example
 //!
 //! ```
-//! use voltascope_comm::CommMethod;
+//! use voltascope_comm::{tuner::TunerMemo, CommMethod};
 //! use voltascope_dnn::zoo;
-//! use voltascope_train::{simulate_epoch, SystemModel, TrainConfig};
+//! use voltascope_train::{EpochRequest, SystemModel, TrainConfig};
+//! use voltascope_workload::lower_model;
 //!
-//! let sys = SystemModel::dgx1();
-//! let model = zoo::lenet();
-//! let report = simulate_epoch(&sys, &model, &TrainConfig::strong(32, 4, CommMethod::Nccl));
+//! let report = EpochRequest {
+//!     sys: &SystemModel::dgx1(),
+//!     workload: &lower_model(&zoo::lenet(), 32).unwrap(),
+//!     cfg: &TrainConfig::strong(32, 4, CommMethod::Nccl),
+//!     fault: None,
+//!     tuner: &TunerMemo::new(),
+//! }
+//! .run()
+//! .unwrap();
 //! assert_eq!(report.iter_time, report.fp_bp_iter + report.wu_iter);
 //! ```
 
@@ -49,12 +58,9 @@ mod schedule;
 
 pub use async_sgd::AsyncParameterServer;
 pub use dataset::{DatasetSpec, ScalingMode, ShuffledSampler, SyntheticDataset};
-pub use dynamic::{
-    simulate_epoch_dynamic, simulate_epoch_dynamic_lowered, simulate_epoch_dynamic_lowered_memo,
-    DynamicEpochReport, MidEpochFault,
-};
+pub use dynamic::MidEpochFault;
 pub use epoch::{
-    simulate_epoch, simulate_epoch_lowered, simulate_epoch_lowered_memo, EpochReport, SystemModel,
+    fuse_buckets, simulate_epoch_lowered, EpochError, EpochReport, EpochRequest, SystemModel,
     TrainConfig,
 };
 pub use memory::{GpuRole, MemoryModel, MemoryUsage};

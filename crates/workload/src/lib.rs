@@ -2,7 +2,7 @@
 //!
 //! The declarative workload layer of the reproduction: a `.workload`
 //! text schema ([`WorkloadSpec::parse`]), a lowering pass compiling a
-//! spec into the per-layer kernel/bucket profile `simulate_epoch`
+//! spec into the per-layer kernel/bucket profile the epoch simulator
 //! executes ([`lower`]/[`lower_model`]), and a [`Definition`] handle
 //! that lets the grid machinery treat built-in Rust builders and
 //! parsed data files interchangeably.

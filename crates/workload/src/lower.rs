@@ -38,7 +38,8 @@ pub struct LoweredDag {
 }
 
 /// A workload compiled for one per-GPU batch size: exactly the inputs
-/// `simulate_epoch` consumes when assembling its task graph.
+/// the epoch simulator (`EpochRequest::run` in `voltascope-train`)
+/// consumes when assembling its task graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoweredWorkload {
     /// Workload display name.
@@ -111,8 +112,8 @@ pub enum LowerError {
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            // Matches the message `simulate_epoch` has always panicked
-            // with on a zero batch.
+            // Matches the message the epoch simulator reports for a
+            // zero batch.
             LowerError::ZeroBatch => write!(f, "batch size must be positive"),
             LowerError::EmptyWorkload(w) => write!(f, "workload `{w}` has no layers"),
             LowerError::DuplicateLayerName { workload, layer } => {
@@ -303,8 +304,8 @@ pub fn lower(spec: &WorkloadSpec, batch: usize) -> Result<LoweredWorkload, Lower
 }
 
 /// Lowers a built model directly, bypassing the text schema. The
-/// output is definitionally what `simulate_epoch` consumed before the
-/// workload layer existed — [`Model::kernel_profile`] and
+/// output is definitionally what the epoch simulator consumed before
+/// the workload layer existed — [`Model::kernel_profile`] and
 /// [`Model::gradient_buckets`] verbatim — so existing goldens cannot
 /// move.
 pub fn lower_model(model: &Model, batch: usize) -> Result<LoweredWorkload, LowerError> {

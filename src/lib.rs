@@ -43,9 +43,10 @@ pub mod prelude {
     pub use voltascope_dnn::{Model, NetworkStats, Shape, Tensor};
     pub use voltascope_profile::{render_timeline, ProfileSummary, TextTable};
     pub use voltascope_train::{
-        simulate_epoch, simulate_epoch_lowered, simulate_pipeline_epoch, AsyncParameterServer,
-        DataParallel, DatasetSpec, EpochReport, GpuRole, MemoryModel, PipelineConfig,
-        PipelineReport, ScalingMode, Sgd, SyntheticDataset, SystemModel, TrainConfig,
+        simulate_epoch_lowered, simulate_pipeline_epoch, AsyncParameterServer, DataParallel,
+        DatasetSpec, EpochError, EpochReport, EpochRequest, GpuRole, MemoryModel, MidEpochFault,
+        PipelineConfig, PipelineReport, ScalingMode, Sgd, SyntheticDataset, SystemModel,
+        TrainConfig,
     };
     pub use voltascope_workload::{
         lower, lower_model, Definition, LowerError, LoweredWorkload, ParseError, WorkloadSpec,
