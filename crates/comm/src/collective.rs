@@ -18,6 +18,7 @@
 //! exactly.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use voltascope_sim::{ResourceId, SimSpan, TaskGraph, TaskId};
 use voltascope_topo::{Bandwidth, Device, Topology};
@@ -182,7 +183,7 @@ fn emit_chunked_hop(
     protocol: Protocol,
     start: TaskId,
     category: &str,
-    label: &str,
+    label: &dyn fmt::Display,
 ) -> TaskId {
     let chunks = chunk_split(wire_bytes, protocol);
     let mut prev: Option<TaskId> = None;
@@ -193,7 +194,7 @@ fn emit_chunked_hop(
             bandwidth.transfer_time(cb)
         };
         let mut builder = graph
-            .task(format!("{label}.c{j}"))
+            .task(format_args!("{label}.c{j}"))
             .lasting(lasting)
             .category(category);
         if let Some(r) = res {
@@ -236,7 +237,7 @@ pub fn all_reduce(
     compute: &BTreeMap<Device, ResourceId>,
     costs: &NcclCosts,
     sel: &Selection,
-    label: &str,
+    label: impl fmt::Display,
 ) -> Result<PerGpuDone, CommError> {
     match sel.algorithm {
         Algorithm::Ring => ring_collective(
@@ -249,7 +250,7 @@ pub fn all_reduce(
             compute,
             costs,
             sel,
-            label,
+            &label,
             "ReduceKernel",
             2,
         ),
@@ -291,7 +292,7 @@ pub fn broadcast(
     compute: &BTreeMap<Device, ResourceId>,
     costs: &NcclCosts,
     sel: &Selection,
-    label: &str,
+    label: impl fmt::Display,
 ) -> Result<PerGpuDone, CommError> {
     ring_collective(
         graph,
@@ -303,7 +304,7 @@ pub fn broadcast(
         compute,
         costs,
         sel,
-        label,
+        &label,
         "BroadcastKernel",
         1,
     )
@@ -353,13 +354,14 @@ fn ring_collective(
     compute: &BTreeMap<Device, ResourceId>,
     costs: &NcclCosts,
     sel: &Selection,
-    label: &str,
+    label: &dyn fmt::Display,
     kernel_name: &str,
     passes: u64,
 ) -> Result<PerGpuDone, CommError> {
     let n = ring.len() as u64;
     // Per-rank collective kernels: occupy the compute stream for the
     // fixed overhead plus their share of the data movement work.
+    let kernel_category = format!("wu.nccl.{kernel_name}");
     let mut kernels = Vec::new();
     for &gpu in ring.devices() {
         let dep = *ready
@@ -369,10 +371,10 @@ fn ring_collective(
             .get(&gpu)
             .unwrap_or_else(|| panic!("no compute resource for {gpu}"));
         let k = graph
-            .task(format!("{label}.{kernel_name}@{gpu}"))
+            .task(format_args!("{label}.{kernel_name}@{gpu}"))
             .on(res)
             .lasting(costs.kernel_overhead)
-            .category(format!("wu.nccl.{kernel_name}"))
+            .category(&kernel_category)
             .after(dep)
             .build();
         kernels.push((gpu, k));
@@ -385,7 +387,7 @@ fn ring_collective(
 
     // The ring starts once every rank's kernel has launched.
     let start = graph
-        .task(format!("{label}.ring.start"))
+        .task(format_args!("{label}.ring.start"))
         .category("wu.nccl.sync")
         .after_all(kernels.iter().map(|&(_, k)| k))
         .build();
@@ -431,11 +433,11 @@ fn ring_collective(
                     sel.protocol,
                     start,
                     "wu.nccl.ring",
-                    &format!("{label}.ring{chp}.hop{i}"),
+                    &format_args!("{label}.ring{chp}.hop{i}"),
                 ),
                 Some(l) => {
                     let mut builder = graph
-                        .task(format!("{label}.ring{chp}.hop{i}"))
+                        .task(format_args!("{label}.ring{chp}.hop{i}"))
                         .lasting(l.bandwidth.transfer_time(wire_bytes))
                         .category("wu.nccl.ring")
                         .after(start);
@@ -461,12 +463,12 @@ fn ring_collective(
                         wire_bytes,
                         &[start],
                         "wu.nccl.ring",
-                        &format!("{label}.ring{chp}.hop{i}"),
+                        format_args!("{label}.ring{chp}.hop{i}"),
                     )
                 }
             };
             let delay = graph
-                .task(format!("{label}.ring{chp}.hop{i}.latency"))
+                .task(format_args!("{label}.ring{chp}.hop{i}.latency"))
                 .lasting(hop_latency * steps)
                 .category("wu.nccl.ring.latency")
                 .after(start)
@@ -475,14 +477,14 @@ fn ring_collective(
             // GPU-side line processing, which runs off the link.
             let proto = protocol_processing_time(wire_bytes, sel.protocol).map(|proc_time| {
                 graph
-                    .task(format!("{label}.ring{chp}.hop{i}.proto"))
+                    .task(format_args!("{label}.ring{chp}.hop{i}.proto"))
                     .lasting(proc_time)
                     .category("wu.nccl.ring.proto")
                     .after(start)
                     .build()
             });
             let mut hop_done = graph
-                .task(format!("{label}.ring{chp}.hop{i}.done"))
+                .task(format_args!("{label}.ring{chp}.hop{i}.done"))
                 .category("wu.nccl.sync")
                 .after(occupy)
                 .after(delay);
@@ -495,7 +497,7 @@ fn ring_collective(
 
     // Completion barrier, then one done-marker per GPU.
     let done = graph
-        .task(format!("{label}.ring.done"))
+        .task(format_args!("{label}.ring.done"))
         .category("wu.nccl.sync")
         .after_all(link_tasks)
         .build();
@@ -504,7 +506,7 @@ fn ring_collective(
         .iter()
         .map(|&gpu| {
             let t = graph
-                .task(format!("{label}.done@{gpu}"))
+                .task(format_args!("{label}.done@{gpu}"))
                 .category("wu.nccl.sync")
                 .after(done)
                 .build();
@@ -549,7 +551,7 @@ pub fn tree_all_reduce(
     compute: &BTreeMap<Device, ResourceId>,
     costs: &NcclCosts,
     sel: &Selection,
-    label: &str,
+    label: impl fmt::Display,
 ) -> Result<PerGpuDone, CommError> {
     assert!(!gpus.is_empty(), "tree needs at least one GPU");
     let n = gpus.len();
@@ -563,7 +565,7 @@ pub fn tree_all_reduce(
             .get(&gpu)
             .unwrap_or_else(|| panic!("no compute resource for {gpu}"));
         let k = graph
-            .task(format!("{label}.TreeReduceKernel@{gpu}"))
+            .task(format_args!("{label}.TreeReduceKernel@{gpu}"))
             .on(res)
             .lasting(costs.kernel_overhead)
             .category("wu.nccl.TreeReduceKernel")
@@ -575,7 +577,7 @@ pub fn tree_all_reduce(
         return Ok(kernels.into_iter().collect());
     }
     let start = graph
-        .task(format!("{label}.tree.start"))
+        .task(format_args!("{label}.tree.start"))
         .category("wu.nccl.sync")
         .after_all(kernels.iter().map(|&(_, k)| k))
         .build();
@@ -636,7 +638,7 @@ pub fn tree_all_reduce(
                         sel.protocol,
                         start,
                         "wu.nccl.tree",
-                        &format!("{label}.tree{chp}.{from}>{to}"),
+                        &format_args!("{label}.tree{chp}.{from}>{to}"),
                     ),
                     _ => net.transfer(
                         graph,
@@ -646,7 +648,7 @@ pub fn tree_all_reduce(
                         wire_bytes,
                         &[start],
                         "wu.nccl.tree",
-                        &format!("{label}.tree{chp}.{from}>{to}"),
+                        format_args!("{label}.tree{chp}.{from}>{to}"),
                     ),
                 };
                 edge_tasks.push(t);
@@ -656,7 +658,7 @@ pub fn tree_all_reduce(
         // protocols, parallel to the edge transfers.
         if let Some(proc_time) = protocol_processing_time(wire_bytes, sel.protocol) {
             let proto = graph
-                .task(format!("{label}.tree{chp}.proto"))
+                .task(format_args!("{label}.tree{chp}.proto"))
                 .lasting(proc_time)
                 .category("wu.nccl.tree.proto")
                 .after(start)
@@ -671,7 +673,7 @@ pub fn tree_all_reduce(
             let children = (1..n).filter(|&c| (c - 1) / 2 == i).count() as u64;
             let streams = children + u64::from(i != 0);
             let eng = graph
-                .task(format!("{label}.tree{chp}.engine@{gpu}"))
+                .task(format_args!("{label}.tree{chp}.engine@{gpu}"))
                 .on(engine[&gpu])
                 .lasting(tree_engine_time(wire_bytes, streams))
                 .category("wu.nccl.tree.engine")
@@ -683,13 +685,13 @@ pub fn tree_all_reduce(
     // Pipeline-depth latency: 2*depth chunk steps at the protocol's
     // step cost.
     let latency = graph
-        .task(format!("{label}.tree.latency"))
+        .task(format_args!("{label}.tree.latency"))
         .lasting(sel.protocol.step_overhead(costs.step_overhead) * (2 * depth as u64))
         .category("wu.nccl.tree.latency")
         .after(start)
         .build();
     let done = graph
-        .task(format!("{label}.tree.done"))
+        .task(format_args!("{label}.tree.done"))
         .category("wu.nccl.sync")
         .after_all(edge_tasks)
         .after(latency)
@@ -698,7 +700,7 @@ pub fn tree_all_reduce(
         .iter()
         .map(|&gpu| {
             let t = graph
-                .task(format!("{label}.tree.done@{gpu}"))
+                .task(format_args!("{label}.tree.done@{gpu}"))
                 .category("wu.nccl.sync")
                 .after(done)
                 .build();

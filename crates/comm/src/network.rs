@@ -1,6 +1,7 @@
 //! Lowering transfers onto the discrete-event engine's link resources.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use voltascope_sim::{ResourceId, TaskGraph, TaskId};
 use voltascope_topo::{Device, LinkId, Topology};
@@ -113,14 +114,14 @@ impl LinkNetwork {
         bytes: u64,
         deps: &[TaskId],
         category: &str,
-        label: &str,
+        label: impl Display,
     ) -> TaskId {
         let route = topo.route(from, to);
         let mut prev: Option<TaskId> = None;
         for (i, hop) in route.hops().iter().enumerate() {
             let resource = self.direction(topo, hop.link, hop.from);
             let mut builder = graph
-                .task(format!("{label}.leg{i}"))
+                .task(format_args!("{label}.leg{i}"))
                 .on(resource)
                 .lasting(hop.bandwidth.transfer_time(bytes))
                 .category(category);
@@ -156,9 +157,9 @@ impl LinkNetwork {
         bytes: u64,
         deps: &[TaskId],
         category: &str,
-        label: &str,
+        label: impl Display,
     ) -> TaskId {
-        self.transfer_with_policy(graph, topo, from, to, bytes, deps, category, label, true)
+        self.transfer_with_policy(graph, topo, from, to, bytes, deps, category, &label, true)
     }
 
     /// Like [`LinkNetwork::transfer`] but never using a software relay:
@@ -176,9 +177,9 @@ impl LinkNetwork {
         bytes: u64,
         deps: &[TaskId],
         category: &str,
-        label: &str,
+        label: impl Display,
     ) -> TaskId {
-        self.transfer_with_policy(graph, topo, from, to, bytes, deps, category, label, false)
+        self.transfer_with_policy(graph, topo, from, to, bytes, deps, category, &label, false)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -191,7 +192,7 @@ impl LinkNetwork {
         bytes: u64,
         deps: &[TaskId],
         category: &str,
-        label: &str,
+        label: &dyn Display,
         allow_relay: bool,
     ) -> TaskId {
         assert_ne!(from, to, "transfer to self");
@@ -209,7 +210,7 @@ impl LinkNetwork {
                         bytes,
                         deps,
                         category,
-                        &format!("{label}.stage1"),
+                        &format_args!("{label}.stage1"),
                     )
                     .expect("relay candidate must be directly linked");
                 return self
@@ -221,7 +222,7 @@ impl LinkNetwork {
                         bytes,
                         &[first],
                         category,
-                        &format!("{label}.stage2"),
+                        &format_args!("{label}.stage2"),
                     )
                     .expect("relay candidate must be directly linked");
             }
@@ -233,7 +234,7 @@ impl LinkNetwork {
             let resource = self.direction(topo, hop.link, hop.from);
             let duration = hop.latency + hop.bandwidth.transfer_time(bytes);
             let mut builder = graph
-                .task(format!("{label}.hop{i}"))
+                .task(format_args!("{label}.hop{i}"))
                 .on(resource)
                 .lasting(duration)
                 .category(category);
@@ -256,7 +257,7 @@ impl LinkNetwork {
         bytes: u64,
         deps: &[TaskId],
         category: &str,
-        label: &str,
+        label: &dyn Display,
     ) -> Option<TaskId> {
         let link = topo.direct_link(from, to)?;
         // Identify which registered link this is (the widest direct one).

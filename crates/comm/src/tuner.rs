@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use voltascope_sim::{Engine, SimSpan, TaskGraph};
+use voltascope_sim::{Engine, SimError, SimSpan, TaskGraph};
 use voltascope_topo::Topology;
 
 use crate::collective::{self, NcclCosts, PerGpuDone};
@@ -101,7 +101,7 @@ fn predict(
     let mut ready: PerGpuDone = BTreeMap::new();
     for &d in ring.devices() {
         compute.insert(d, graph.add_resource(format!("{d}.compute"), 1));
-        ready.insert(d, graph.task(format!("ready@{d}")).build());
+        ready.insert(d, graph.task(format_args!("ready@{d}")).build());
     }
     match op {
         Op::AllReduce => collective::all_reduce(
@@ -111,10 +111,15 @@ fn predict(
             &mut graph, &net, topo, ring, bytes, &ready, &compute, costs, sel, "tune",
         )?,
     };
-    Ok(Engine::new()
-        .run(&graph)
-        .expect("tuner candidate graph must not deadlock")
-        .makespan())
+    match Engine::new().run(&graph) {
+        Ok(schedule) => Ok(schedule.makespan()),
+        // A link degraded far enough prices a candidate past the clock.
+        Err(SimError::Overflow { .. }) => Err(CommError::ArithmeticOverflow {
+            context: "simulated candidate time",
+            bytes,
+        }),
+        Err(e) => panic!("tuner candidate graph must not deadlock: {e}"),
+    }
 }
 
 /// Picks the cheapest (algorithm, protocol, channels) for an AllReduce

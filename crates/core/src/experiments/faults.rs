@@ -21,7 +21,6 @@ use std::sync::Arc;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
-use voltascope_sim::SimSpan;
 use voltascope_train::EpochReport;
 
 pub use crate::grid::FaultScenario;
@@ -97,14 +96,7 @@ pub fn rows_from(out: GridOut<Arc<EpochReport>>) -> GridOut<DegradedRow> {
 fn degraded_row(c: &Cell, report: &EpochReport) -> DegradedRow {
     let max_idle_percent = (0..c.gpus)
         .map(|g| {
-            let resource = format!("GPU{g}.compute");
-            let busy: SimSpan = report
-                .iter_trace
-                .events()
-                .iter()
-                .filter(|e| e.resource.as_deref() == Some(&resource))
-                .map(|e| e.duration())
-                .sum();
+            let busy = report.iter_trace.busy_on(&format!("GPU{g}.compute"));
             100.0
                 * report
                     .iter_time

@@ -56,14 +56,7 @@ pub fn rows_from(out: GridOut<Arc<EpochReport>>) -> GridOut<Vec<IdleRow>> {
 fn idle_rows(c: &Cell, report: &EpochReport) -> Vec<IdleRow> {
     (0..c.gpus)
         .map(|g| {
-            let resource = format!("GPU{g}.compute");
-            let busy: SimSpan = report
-                .iter_trace
-                .events()
-                .iter()
-                .filter(|e| e.resource.as_deref() == Some(&resource))
-                .map(|e| e.duration())
-                .sum();
+            let busy = report.iter_trace.busy_on(&format!("GPU{g}.compute"));
             let idle = report.iter_time.saturating_sub(busy);
             IdleRow {
                 gpu: g,

@@ -659,9 +659,8 @@ impl GridService {
             Some(Slot::DoneLazy { report, trace }) => (report.clone(), trace.clone()),
             _ => return None,
         };
-        let events = trace.decode().ok()?;
         let mut full = (*report).clone();
-        full.iter_trace = voltascope_sim::Trace::new(events);
+        full.iter_trace = trace.decode().ok()?;
         let full = Arc::new(full);
         state.cache.insert(cell, Slot::Done(full.clone()));
         self.trace_decodes.fetch_add(1, Ordering::Relaxed);

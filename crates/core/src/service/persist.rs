@@ -117,7 +117,7 @@ use std::sync::Arc;
 
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
-use voltascope_sim::{SimSpan, SimTime, TaskId, Trace, TraceEvent};
+use voltascope_sim::{IndexedEvent, SimSpan, SimTime, StringTable, TaskId, Trace};
 use voltascope_train::{EpochReport, ScalingMode};
 
 use crate::grid::{Cell, FaultScenario, Platform};
@@ -317,7 +317,7 @@ pub fn decode(
         .into_iter()
         .map(|(cell, report, block)| {
             let mut full = (*report).clone();
-            full.iter_trace = Trace::new(block.decode()?);
+            full.iter_trace = block.decode()?;
             Ok((cell, Arc::new(full)))
         })
         .collect()
@@ -340,10 +340,10 @@ impl LazyTrace {
         &self.image[self.offset..self.offset + self.len]
     }
 
-    /// Decodes the block into trace events. Deterministic: decoding
-    /// twice yields equal events, and re-encoding them reproduces
+    /// Decodes the block into a trace. Deterministic: decoding twice
+    /// yields equal traces, and re-encoding one reproduces
     /// [`LazyTrace::raw`] exactly.
-    pub fn decode(&self) -> Result<Vec<TraceEvent>, PersistError> {
+    pub fn decode(&self) -> Result<Trace, PersistError> {
         decode_trace_block(self.raw())
     }
 
@@ -544,27 +544,37 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Encodes `events` as a compact v5 trace block (see the module docs'
+/// Encodes `trace` as a compact v5 trace block (see the module docs'
 /// layout table): a front-coded sorted string table plus varint event
-/// tuples, LZSS-compressed behind a varint raw length. Deterministic:
-/// equal event lists encode to equal bytes, so [`TraceOut::Raw`]
-/// copies and fresh encodes agree.
-fn encode_trace_block(events: &[TraceEvent]) -> Vec<u8> {
-    let mut strings: Vec<&str> = Vec::new();
-    for e in events {
-        strings.push(&e.label);
-        strings.push(&e.category);
-        if let Some(r) = &e.resource {
-            strings.push(r);
+/// tuples, LZSS-compressed behind a varint raw length. The table is the
+/// strings the events use, sorted with equal strings merged, so equal
+/// traces encode to equal bytes whatever order their own tables hold
+/// the strings in — [`TraceOut::Raw`] copies and fresh encodes agree.
+fn encode_trace_block(trace: &Trace) -> Vec<u8> {
+    let table = trace.table();
+    let mut used = vec![false; table.len()];
+    for e in trace.indexed() {
+        used[e.label as usize] = true;
+        used[e.category as usize] = true;
+        if let Some(r) = e.resource {
+            used[r as usize] = true;
         }
     }
-    strings.sort_unstable();
-    strings.dedup();
-    let index: std::collections::HashMap<&str, u64> = strings
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (*s, i as u64))
+    let mut order: Vec<u32> = (0..table.len() as u32)
+        .filter(|&i| used[i as usize])
         .collect();
+    order.sort_unstable_by(|&a, &b| table[a].cmp(&table[b]));
+    // `rank[i]`: the position of table string `i` in the sorted,
+    // merged table.
+    let mut rank = vec![0u64; table.len()];
+    let mut strings: Vec<&str> = Vec::with_capacity(order.len());
+    for &i in &order {
+        let s = &table[i];
+        if strings.last() != Some(&s) {
+            strings.push(s);
+        }
+        rank[i as usize] = (strings.len() - 1) as u64;
+    }
 
     let mut inner = Vec::new();
     put_varint(&mut inner, strings.len() as u64);
@@ -580,15 +590,15 @@ fn encode_trace_block(events: &[TraceEvent]) -> Vec<u8> {
         inner.extend_from_slice(&bytes[shared..]);
         prev = bytes;
     }
-    put_varint(&mut inner, events.len() as u64);
+    put_varint(&mut inner, trace.len() as u64);
     let mut prev_start = 0u64;
-    for e in events {
+    for e in trace.indexed() {
         put_varint(&mut inner, e.task.index() as u64);
-        put_varint(&mut inner, index[e.label.as_str()]);
-        put_varint(&mut inner, index[e.category.as_str()]);
-        match &e.resource {
+        put_varint(&mut inner, rank[e.label as usize]);
+        put_varint(&mut inner, rank[e.category as usize]);
+        match e.resource {
             None => put_varint(&mut inner, 0),
-            Some(r) => put_varint(&mut inner, index[r.as_str()] + 1),
+            Some(r) => put_varint(&mut inner, rank[r as usize] + 1),
         }
         let start = e.start.as_nanos();
         // Wrapping delta: exact for any start order, tiny for the
@@ -815,7 +825,7 @@ fn put_report(out: &mut Vec<u8>, report: &EpochReport, trace: &TraceOut) {
         put_str(out, label);
     }
     let block = match trace {
-        TraceOut::Events => encode_trace_block(report.iter_trace.events()),
+        TraceOut::Events => encode_trace_block(&report.iter_trace),
         TraceOut::Raw(lazy) => lazy.raw().to_vec(),
     };
     // The trace tag: always 1, kept so the v5 layout is unchanged (see
@@ -898,13 +908,15 @@ impl<'a> Reader<'a> {
 const MAX_RAW_BLOCK: usize = 1 << 30;
 
 /// Decodes a compact v5 trace block (the bytes after the `u32` length
-/// prefix): LZSS-decompress, then parse the inner layout. The inner
-/// decoder accepts only the canonical form [`encode_trace_block`]
-/// emits — minimal varints, a strictly ascending front-coded string
-/// table with maximal shared prefixes and no unused strings, no
-/// trailing bytes — so decode → re-encode reproduces every
-/// writer-produced block byte-identically.
-fn decode_trace_block(block: &[u8]) -> Result<Vec<TraceEvent>, PersistError> {
+/// prefix): LZSS-decompress, then parse the inner layout straight into
+/// the trace's columns, its string table being the stored one (already
+/// sorted and merged). The inner decoder accepts only the canonical
+/// form [`encode_trace_block`] emits — minimal varints, a strictly
+/// ascending front-coded string table with maximal shared prefixes and
+/// no unused strings, task ids that fit a [`TaskId`], no trailing bytes
+/// — so decode → re-encode reproduces every writer-produced block
+/// byte-identically.
+fn decode_trace_block(block: &[u8]) -> Result<Trace, PersistError> {
     let mut outer = Reader {
         bytes: block,
         pos: 0,
@@ -922,12 +934,14 @@ fn decode_trace_block(block: &[u8]) -> Result<Vec<TraceEvent>, PersistError> {
         pos: 0,
     };
     let table_len = r.varint()? as usize;
-    let mut table: Vec<String> = Vec::with_capacity(table_len.min(1 << 16));
+    let mut table = StringTable::new();
+    // The string being decoded, built on its predecessor's bytes.
+    let mut prev: Vec<u8> = Vec::new();
+    let mut text_len = 0usize;
     for i in 0..table_len {
         let shared = r.varint()? as usize;
         let suffix_len = r.varint()? as usize;
         let suffix = r.take(suffix_len)?;
-        let prev = table.last().map(String::as_bytes).unwrap_or(b"");
         if shared > prev.len() || (i == 0 && shared != 0) {
             return Err(PersistError::Corrupted("front-coded prefix out of range"));
         }
@@ -945,40 +959,43 @@ fn decode_trace_block(block: &[u8]) -> Result<Vec<TraceEvent>, PersistError> {
                 }
             }
         }
-        let mut s = Vec::with_capacity(shared + suffix_len);
-        s.extend_from_slice(&prev[..shared]);
-        s.extend_from_slice(suffix);
-        let s = String::from_utf8(s).map_err(|_| PersistError::Corrupted("non-UTF-8 string"))?;
+        prev.truncate(shared);
+        prev.extend_from_slice(suffix);
+        text_len += prev.len();
+        if text_len > u32::MAX as usize {
+            return Err(PersistError::Corrupted("string table too large"));
+        }
+        let s =
+            std::str::from_utf8(&prev).map_err(|_| PersistError::Corrupted("non-UTF-8 string"))?;
         table.push(s);
     }
     let count = r.varint()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 16));
-    let mut used = vec![false; table.len()];
-    let lookup = |idx: usize, used: &mut [bool]| -> Result<String, PersistError> {
-        match table.get(idx) {
-            None => Err(PersistError::Corrupted("string index out of range")),
-            Some(s) => {
-                used[idx] = true;
-                Ok(s.clone())
-            }
-        }
+    let mut trace = Trace::with_table(table);
+    trace.reserve(count.min(1 << 16));
+    let mut used = vec![false; table_len];
+    let mut lookup = |idx: u64| -> Result<u32, PersistError> {
+        let used = usize::try_from(idx).ok().and_then(|i| used.get_mut(i));
+        let used = used.ok_or(PersistError::Corrupted("string index out of range"))?;
+        *used = true;
+        Ok(idx as u32)
     };
     let mut prev_start = 0u64;
     for _ in 0..count {
-        let task = TaskId::from_index(r.varint()? as usize);
-        let label = lookup(r.varint()? as usize, &mut used)?;
-        let category = lookup(r.varint()? as usize, &mut used)?;
+        let task = u32::try_from(r.varint()?)
+            .map_err(|_| PersistError::Corrupted("task id out of range"))?;
+        let label = lookup(r.varint()?)?;
+        let category = lookup(r.varint()?)?;
         let resource = match r.varint()? {
             0 => None,
-            i => Some(lookup((i - 1) as usize, &mut used)?),
+            i => Some(lookup(i - 1)?),
         };
         let start = prev_start.wrapping_add(r.varint()?);
         prev_start = start;
         let end = start
             .checked_add(r.varint()?)
             .ok_or(PersistError::Corrupted("trace event overflows the clock"))?;
-        events.push(TraceEvent {
-            task,
+        trace.push_indexed(IndexedEvent {
+            task: TaskId::from_index(task as usize),
             label,
             category,
             resource,
@@ -992,7 +1009,7 @@ fn decode_trace_block(block: &[u8]) -> Result<Vec<TraceEvent>, PersistError> {
     if r.pos != inner.len() {
         return Err(PersistError::Corrupted("trailing bytes in trace block"));
     }
-    Ok(events)
+    Ok(trace)
 }
 
 fn take_cell(r: &mut Reader<'_>) -> Result<Cell, PersistError> {
@@ -1088,7 +1105,7 @@ fn take_report_scalars(r: &mut Reader<'_>) -> Result<EpochReport, PersistError> 
         api_iter,
         sync_wall_iter,
         compute_utilization,
-        iter_trace: Trace::new(Vec::new()),
+        iter_trace: Trace::default(),
         critical_chain,
     })
 }
@@ -1096,6 +1113,7 @@ fn take_report_scalars(r: &mut Reader<'_>) -> Result<EpochReport, PersistError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use voltascope_sim::TraceEvent;
 
     fn cell(batch: usize, gpus: usize) -> Cell {
         Cell {
@@ -1122,14 +1140,18 @@ mod tests {
             api_iter,
             sync_wall_iter: SimSpan::from_nanos(seed / 2),
             compute_utilization: 0.1 + (seed % 7) as f64 * 0.1,
-            iter_trace: Trace::new(vec![TraceEvent {
+            iter_trace: [TraceEvent {
                 task: TaskId::from_index(seed as usize % 11),
-                label: format!("it1/k{seed}"),
-                category: "fp".to_string(),
-                resource: (seed.is_multiple_of(2)).then(|| format!("GPU{}.compute", seed % 8)),
+                label: &format!("it1/k{seed}"),
+                category: "fp",
+                resource: (seed.is_multiple_of(2))
+                    .then(|| format!("GPU{}.compute", seed % 8))
+                    .as_deref(),
                 start: SimTime::from_nanos(seed),
                 end: SimTime::from_nanos(seed + 40),
-            }]),
+            }]
+            .into_iter()
+            .collect(),
             critical_chain: vec![format!("k{seed}"), format!("sync.wu@gpu{}", seed % 8)],
         })
     }
@@ -1268,7 +1290,7 @@ mod tests {
         // just before the entry's length-prefixed trace block, which
         // ends the payload.
         let report = report(4);
-        let block_len = encode_trace_block(report.iter_trace.events()).len();
+        let block_len = encode_trace_block(&report.iter_trace).len();
         let mut bytes = encode(1, &[(cell(16, 1), report)]);
         let tag_pos = bytes.len() - block_len - 5;
         assert_eq!(bytes[tag_pos], 1);
@@ -1321,6 +1343,109 @@ mod tests {
             lzss_compress(&input, &mut again);
             assert_eq!(stream, again);
         }
+    }
+
+    /// A v5 block written by the event-list codec this one replaced,
+    /// for the events of [`pinned_events`].
+    const PINNED_BLOCK: [u8; 175] = [
+        173, 1, 0, 11, 0, 0, 0, 12, 71, 80, 85, 0, 48, 46, 99, 111, 109, 112, 117, 116, 0, 101, 3,
+        6, 49, 46, 104, 111, 115, 0, 116, 0, 20, 97, 112, 105, 46, 99, 0, 117, 100, 97, 76, 97,
+        117, 110, 99, 0, 104, 75, 101, 114, 110, 101, 108, 0, 0, 2, 102, 112, 0, 17, 105, 116, 49,
+        0, 47, 102, 112, 46, 99, 111, 110, 118, 68, 49, 64, 61, 0, 4, 6, 107, 8, 0, 49, 128, 0, 14,
+        108, 105, 110, 107, 46, 19, 0, 2, 62, 16, 1, 9, 119, 117, 46, 117, 112, 0, 100, 97, 116,
+        101, 3, 2, 195, 168, 0, 4, 1, 169, 6, 3, 4, 4, 2, 0, 100, 50, 1, 6, 0, 0, 206, 255, 1, 1,
+        3, 1, 0, 2, 6, 3, 3, 25, 0, 15, 7, 5, 4, 2, 125, 191, 171, 0, 75, 172, 2, 10, 8, 2, 191,
+        171, 0, 75, 0, 173, 2, 9, 8, 8, 249, 4, 210, 180, 39, 3, 9,
+    ];
+
+    /// A label equal to a category, two events with one label, an
+    /// empty category, an event without a resource, out-of-order
+    /// starts, zero-length events, and two labels whose shared prefix
+    /// ends inside a UTF-8 character.
+    fn pinned_events() -> [TraceEvent<'static>; 6] {
+        let ev = |task, label, category, resource, start, end| TraceEvent {
+            task: TaskId::from_index(task),
+            label,
+            category,
+            resource,
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+        };
+        let (gpu0, gpu1) = (Some("GPU0.compute"), Some("GPU1.host"));
+        [
+            ev(3, "fp", "fp", gpu0, 100, 150),
+            ev(1, "it1/k@GPU1", "", None, 50, 50),
+            ev(2, "it1/k@GPU1", "api.cudaLaunchKernel", gpu1, 75, 90),
+            ev(7, "it1/fp.conv1@GPU0", "fp", gpu0, 200, 1_234_567),
+            ev(300, "wu.\u{e9}", "wu.update", gpu0, 1_234_567, 1_234_567),
+            ev(301, "wu.\u{e8}", "wu.update", Some("link.GPU0>GPU1"), 0, 9),
+        ]
+    }
+
+    #[test]
+    fn trace_blocks_keep_their_pinned_bytes() {
+        let events = pinned_events();
+        // One table entry per distinct string...
+        let interned: Trace = events.into_iter().collect();
+        // ...and, as the engine builds them, one per label with every
+        // category and resource stored once, in event order.
+        let mut table = StringTable::new();
+        let mut once: Vec<(&str, u32)> = Vec::new();
+        let mut stored_once =
+            |table: &mut StringTable, s: &'static str| match once.iter().find(|(o, _)| *o == s) {
+                Some(&(_, i)) => i,
+                None => {
+                    let i = table.push(s);
+                    once.push((s, i));
+                    i
+                }
+            };
+        let rows: Vec<IndexedEvent> = events
+            .iter()
+            .map(|e| IndexedEvent {
+                task: e.task,
+                label: table.push(e.label),
+                category: stored_once(&mut table, e.category),
+                resource: e.resource.map(|r| stored_once(&mut table, r)),
+                start: e.start,
+                end: e.end,
+            })
+            .collect();
+        let mut per_label = Trace::with_table(table);
+        for row in rows {
+            per_label.push_indexed(row);
+        }
+        assert_eq!(per_label, interned);
+        for trace in [&interned, &per_label] {
+            assert_eq!(encode_trace_block(trace), PINNED_BLOCK);
+        }
+        let decoded = decode_trace_block(&PINNED_BLOCK).unwrap();
+        assert_eq!(decoded, interned);
+        assert_eq!(decoded.events(), per_label.events());
+        // The stored table is sorted and merged; the fresh ones are not.
+        assert_eq!(decoded.table().len(), 11);
+        assert_ne!(decoded.table(), interned.table());
+        assert_eq!(encode_trace_block(&decoded), PINNED_BLOCK);
+        // One changed label is a different trace.
+        let mut changed = events;
+        changed[3].label = "it1/fp.conv2@GPU0";
+        let changed: Trace = changed.into_iter().collect();
+        assert_ne!(decoded.events(), changed.events());
+    }
+
+    #[test]
+    fn task_ids_past_u32_are_corruption() {
+        // One string "a", one event with task id 2^32.
+        let mut inner = vec![0x01, 0x00, 0x01, b'a', 0x01];
+        put_varint(&mut inner, 1 << 32);
+        inner.extend_from_slice(&[0x00, 0x00, 0x00, 0x00, 0x00]);
+        let mut block = Vec::new();
+        put_varint(&mut block, inner.len() as u64);
+        lzss_compress(&inner, &mut block);
+        assert!(matches!(
+            decode_trace_block(&block),
+            Err(PersistError::Corrupted("task id out of range"))
+        ));
     }
 
     #[test]

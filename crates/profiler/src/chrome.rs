@@ -23,18 +23,14 @@ use voltascope_sim::Trace;
 /// let mut g = TaskGraph::new();
 /// let r = g.add_resource("gpu0", 1);
 /// g.task("fp.conv1").on(r).lasting(SimSpan::from_micros(5)).category("fp").build();
-/// let trace = Engine::new().run(&g).unwrap().into_trace();
+/// let trace = Engine::new().run(&g).unwrap().trace(&g, ..);
 /// let json = chrome_trace(&trace);
 /// assert!(json.starts_with('['));
 /// assert!(json.contains("\"fp.conv1\""));
 /// assert!(json.ends_with("]\n"));
 /// ```
 pub fn chrome_trace(trace: &Trace) -> String {
-    let mut tracks: Vec<&str> = trace
-        .events()
-        .iter()
-        .filter_map(|e| e.resource.as_deref())
-        .collect();
+    let mut tracks: Vec<&str> = trace.events().iter().filter_map(|e| e.resource).collect();
     tracks.sort();
     tracks.dedup();
     chrome_trace_with_tracks(trace, &tracks)
@@ -60,7 +56,7 @@ pub fn chrome_trace_with_tracks(trace: &Trace, tracks: &[&str]) -> String {
     let has_overflow = trace
         .events()
         .iter()
-        .any(|e| e.resource.as_deref().is_some_and(|r| !tracks.contains(&r)));
+        .any(|e| e.resource.is_some_and(|r| !tracks.contains(&r)));
 
     let mut out = String::from("[\n");
     let mut first = true;
@@ -97,12 +93,12 @@ pub fn chrome_trace_with_tracks(trace: &Trace, tracks: &[&str]) -> String {
             out.push_str(",\n");
         }
         first = false;
-        let track = e.resource.as_deref().map(tid).unwrap_or(0);
+        let track = e.resource.map(tid).unwrap_or(0);
         write!(
             out,
             "  {{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-            escape(&e.label),
-            escape(&e.category),
+            escape(e.label),
+            escape(e.category),
             track,
             micros(e.start.as_nanos()),
             micros(e.duration().as_nanos())
@@ -176,7 +172,7 @@ mod tests {
             .after(a)
             .build();
         g.task("barrier").after(a).build();
-        Engine::new().run(&g).unwrap().into_trace()
+        Engine::new().run(&g).unwrap().trace(&g, ..)
     }
 
     #[test]
@@ -242,25 +238,27 @@ mod tests {
     #[test]
     fn labels_are_escaped() {
         use voltascope_sim::{SimTime, TaskId, TraceEvent};
-        let trace = Trace::new(vec![TraceEvent {
+        let trace: Trace = [TraceEvent {
             task: TaskId::from_index(0),
-            label: "evil\"label\\".into(),
-            category: "c".into(),
-            resource: Some("r".into()),
+            label: "evil\"label\\",
+            category: "c",
+            resource: Some("r"),
             start: SimTime::ZERO,
             end: SimTime::from_nanos(5_000),
-        }]);
+        }]
+        .into_iter()
+        .collect();
         let json = chrome_trace(&trace);
         assert!(json.contains("evil\\\"label\\\\"));
     }
 
-    fn event(i: usize, label: &str, start_ns: u64, end_ns: u64) -> voltascope_sim::TraceEvent {
+    fn event(i: usize, label: &str, start_ns: u64, end_ns: u64) -> voltascope_sim::TraceEvent<'_> {
         use voltascope_sim::{SimTime, TaskId, TraceEvent};
         TraceEvent {
             task: TaskId::from_index(i),
-            label: label.into(),
-            category: "fp".into(),
-            resource: Some("gpu0".into()),
+            label,
+            category: "fp",
+            resource: Some("gpu0"),
             start: SimTime::from_nanos(start_ns),
             end: SimTime::from_nanos(end_ns),
         }
@@ -272,10 +270,11 @@ mod tests {
         // with as_micros() and fabricated dur.max(1), rendering both
         // at ts 0 with 1 µs durations — overlapping events that never
         // overlapped.
-        let json = chrome_trace(&Trace::new(vec![
-            event(0, "k0", 0, 300),
-            event(1, "k1", 300, 600),
-        ]));
+        let json = chrome_trace(
+            &[event(0, "k0", 0, 300), event(1, "k1", 300, 600)]
+                .into_iter()
+                .collect(),
+        );
         assert!(json.contains("\"ts\":0,\"dur\":0.3"), "{json}");
         assert!(json.contains("\"ts\":0.3,\"dur\":0.3"), "{json}");
         assert!(!json.contains("\"dur\":1}"), "no fabricated 1 µs: {json}");
@@ -297,7 +296,7 @@ mod tests {
         // The old escape() replaced control characters with a space,
         // silently corrupting the label; now they become proper JSON
         // escapes and the document stays strictly parseable.
-        let json = chrome_trace(&Trace::new(vec![event(0, "a\tb\nc\u{1}d", 0, 5_000)]));
+        let json = chrome_trace(&[event(0, "a\tb\nc\u{1}d", 0, 5_000)].into_iter().collect());
         assert!(json.contains("a\\tb\\nc\\u0001d"), "{json}");
         assert_json(&json);
     }

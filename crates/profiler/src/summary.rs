@@ -34,7 +34,7 @@ pub struct ProfileLine {
 /// let gpu = g.add_resource("gpu", 1);
 /// g.task("k1").on(gpu).lasting(SimSpan::from_micros(90)).category("fp").build();
 /// g.task("s").lasting(SimSpan::from_micros(10)).category("api.cudaStreamSynchronize").build();
-/// let trace = Engine::new().run(&g).unwrap().into_trace();
+/// let trace = Engine::new().run(&g).unwrap().trace(&g, ..);
 /// let summary = ProfileSummary::from_trace(&trace);
 /// assert_eq!(summary.gpu_activities()[0].category, "fp");
 /// assert_eq!(summary.api_calls()[0].calls, 1);
@@ -50,16 +50,16 @@ impl ProfileSummary {
     /// rows; `marker` and `setup` events are skipped; everything else
     /// is a GPU activity.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut gpu: BTreeMap<String, (SimSpan, u64)> = BTreeMap::new();
-        let mut api: BTreeMap<String, (SimSpan, u64)> = BTreeMap::new();
+        let mut gpu: BTreeMap<&str, (SimSpan, u64)> = BTreeMap::new();
+        let mut api: BTreeMap<&str, (SimSpan, u64)> = BTreeMap::new();
         for e in trace.events() {
             if e.category == "marker" || e.category == "setup" || e.category.is_empty() {
                 continue;
             }
             let slot = if e.category.starts_with("api.") {
-                api.entry(e.category.clone()).or_insert((SimSpan::ZERO, 0))
+                api.entry(e.category).or_insert((SimSpan::ZERO, 0))
             } else {
-                gpu.entry(e.category.clone()).or_insert((SimSpan::ZERO, 0))
+                gpu.entry(e.category).or_insert((SimSpan::ZERO, 0))
             };
             slot.0 += e.duration();
             slot.1 += 1;
@@ -114,12 +114,12 @@ impl ProfileSummary {
     }
 }
 
-fn section(map: BTreeMap<String, (SimSpan, u64)>) -> Vec<ProfileLine> {
+fn section(map: BTreeMap<&str, (SimSpan, u64)>) -> Vec<ProfileLine> {
     let total: SimSpan = map.values().map(|(t, _)| *t).sum();
     let mut lines: Vec<ProfileLine> = map
         .into_iter()
         .map(|(category, (time, calls))| ProfileLine {
-            category,
+            category: category.to_string(),
             percent: 100.0 * time.ratio(total),
             total: time,
             calls,
@@ -175,20 +175,24 @@ mod tests {
     use super::*;
     use voltascope_sim::{SimTime, TaskId, TraceEvent};
 
-    fn ev(cat: &str, start: u64, end: u64) -> TraceEvent {
+    fn ev(cat: &str, start: u64, end: u64) -> TraceEvent<'_> {
         TraceEvent {
             task: TaskId::from_index(0),
-            label: "x".into(),
-            category: cat.into(),
+            label: "x",
+            category: cat,
             resource: None,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
         }
     }
 
+    fn trace<const N: usize>(events: [TraceEvent<'_>; N]) -> Trace {
+        events.into_iter().collect()
+    }
+
     #[test]
     fn sections_split_and_sort() {
-        let trace = Trace::new(vec![
+        let trace = trace([
             ev("fp", 0, 100),
             ev("bp", 0, 300),
             ev("api.cudaLaunchKernel", 0, 10),
@@ -209,11 +213,7 @@ mod tests {
 
     #[test]
     fn percentages_sum_to_hundred_per_section() {
-        let trace = Trace::new(vec![
-            ev("fp", 0, 123),
-            ev("bp", 0, 456),
-            ev("wu.update", 0, 78),
-        ]);
+        let trace = trace([ev("fp", 0, 123), ev("bp", 0, 456), ev("wu.update", 0, 78)]);
         let s = ProfileSummary::from_trace(&trace);
         let sum: f64 = s.gpu_activities().iter().map(|l| l.percent).sum();
         assert!((sum - 100.0).abs() < 1e-9);
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn call_counts_and_averages() {
-        let trace = Trace::new(vec![ev("fp", 0, 10), ev("fp", 10, 30)]);
+        let trace = trace([ev("fp", 0, 10), ev("fp", 10, 30)]);
         let s = ProfileSummary::from_trace(&trace);
         let line = &s.gpu_activities()[0];
         assert_eq!(line.calls, 2);
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn display_includes_both_sections() {
-        let trace = Trace::new(vec![ev("fp", 0, 10), ev("api.cudaMalloc", 0, 5)]);
+        let trace = trace([ev("fp", 0, 10), ev("api.cudaMalloc", 0, 5)]);
         let text = ProfileSummary::from_trace(&trace).to_string();
         assert!(text.contains("GPU activities:"));
         assert!(text.contains("API calls:"));
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn to_table_covers_both_sections() {
-        let trace = Trace::new(vec![ev("fp", 0, 10), ev("api.cudaMalloc", 0, 5)]);
+        let trace = trace([ev("fp", 0, 10), ev("api.cudaMalloc", 0, 5)]);
         let table = ProfileSummary::from_trace(&trace).to_table();
         assert_eq!(table.len(), 2);
         let csv = table.to_csv();

@@ -22,7 +22,7 @@ use voltascope_sim::Trace;
 /// let gpu = g.add_resource("gpu0", 1);
 /// let fp = g.task("fp").on(gpu).lasting(SimSpan::from_micros(10)).category("fp").build();
 /// g.task("bp").on(gpu).lasting(SimSpan::from_micros(20)).category("bp").after(fp).build();
-/// let trace = Engine::new().run(&g).unwrap().into_trace();
+/// let trace = Engine::new().run(&g).unwrap().trace(&g, ..);
 /// let art = render_timeline(&trace, 30);
 /// assert!(art.contains("gpu0"));
 /// assert!(art.contains('F') && art.contains('B'));
@@ -30,10 +30,10 @@ use voltascope_sim::Trace;
 pub fn render_timeline(trace: &Trace, width: usize) -> String {
     let width = width.max(1);
     let end = trace.end_time().as_nanos().max(1);
-    let mut rows: BTreeMap<String, Vec<char>> = BTreeMap::new();
+    let mut rows: BTreeMap<&str, Vec<char>> = BTreeMap::new();
     for e in trace.events() {
-        let Some(res) = &e.resource else { continue };
-        let row = rows.entry(res.clone()).or_insert_with(|| vec!['.'; width]);
+        let Some(res) = e.resource else { continue };
+        let row = rows.entry(res).or_insert_with(|| vec!['.'; width]);
         let glyph = e
             .category
             .chars()
@@ -46,7 +46,7 @@ pub fn render_timeline(trace: &Trace, width: usize) -> String {
             *slot = glyph;
         }
     }
-    let name_width = rows.keys().map(String::len).max().unwrap_or(0);
+    let name_width = rows.keys().map(|k| k.len()).max().unwrap_or(0);
     let mut out = String::new();
     for (name, row) in rows {
         out.push_str(&format!("{name:>name_width$} |"));
@@ -111,7 +111,7 @@ mod tests {
             .after(x)
             .after(b0)
             .build();
-        voltascope_sim::Engine::new().run(&g).unwrap().into_trace()
+        voltascope_sim::Engine::new().run(&g).unwrap().trace(&g, ..)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use crate::engine::Schedule;
 use crate::graph::TaskGraph;
 use crate::time::SimTime;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEvent};
 
 /// Asserts the structural invariants of a [`Trace`]: events are
 /// ordered by start instant, and no event ends before it starts
@@ -21,8 +21,8 @@ use crate::trace::Trace;
 ///
 /// Panics with a descriptive message when an invariant is violated.
 pub fn assert_trace_invariants(trace: &Trace) {
-    let events = trace.events();
-    for (i, e) in events.iter().enumerate() {
+    let mut prev: Option<TraceEvent<'_>> = None;
+    for (i, e) in trace.events().iter().enumerate() {
         assert!(
             e.end >= e.start,
             "trace event {i} ({}) ends at {} before its start {}",
@@ -30,10 +30,7 @@ pub fn assert_trace_invariants(trace: &Trace) {
             e.end,
             e.start
         );
-        // Must not underflow/overflow.
-        let _ = e.duration();
-        if i > 0 {
-            let prev = &events[i - 1];
+        if let Some(prev) = prev {
             assert!(
                 prev.start <= e.start,
                 "trace not time-sorted: event {i} ({}) at {} follows {} ({})",
@@ -43,64 +40,71 @@ pub fn assert_trace_invariants(trace: &Trace) {
                 prev.label
             );
         }
+        prev = Some(e);
     }
 }
 
 /// Asserts the structural invariants of a [`Schedule`] against the
-/// graph it executed: everything [`assert_trace_invariants`] checks,
-/// plus exactly one trace event per task, per-task `finish >= start`,
-/// every event's resource naming a resource the graph defines, the
-/// makespan equalling the last finish instant, and every `blocked_by`
-/// edge pointing at a task that finished no later than the blocked
-/// task started.
+/// graph it executed: everything [`assert_trace_invariants`] checks on
+/// the whole-run trace, plus exactly one trace event per task, each
+/// event carrying its task's label and category, every event's
+/// resource naming a resource the graph defines, per-task
+/// `finish >= start`, the makespan equalling the last finish instant,
+/// and every `blocked_by` edge pointing at a task that finished no
+/// later than the blocked task started.
 ///
 /// # Panics
 ///
 /// Panics with a descriptive message when an invariant is violated.
 pub fn assert_schedule_invariants(graph: &TaskGraph, schedule: &Schedule) {
-    assert_trace_invariants(schedule.trace());
+    let trace = schedule.trace(graph, ..);
+    assert_trace_invariants(&trace);
     assert_eq!(
-        schedule.trace().len(),
+        trace.len(),
         graph.task_count(),
         "trace must hold exactly one event per task"
     );
     let names: BTreeSet<&str> = graph.resources().map(|(_, r)| r.name.as_str()).collect();
-    for e in schedule.trace().events() {
+    let mut seen = vec![false; graph.task_count()];
+    for e in trace.events() {
+        let i = e.task.index();
         assert!(
-            e.task.index() < graph.task_count(),
-            "trace event {} names task {:?} outside the graph",
+            i < graph.task_count() && !std::mem::replace(&mut seen[i], true),
+            "trace event {} names task {:?} outside the graph or twice",
             e.label,
             e.task
         );
-        if let Some(res) = &e.resource {
+        assert_eq!(e.label, graph.label(e.task), "trace label of {:?}", e.task);
+        assert_eq!(
+            e.category,
+            graph.category(e.task),
+            "trace category of {}",
+            e.label
+        );
+        if let Some(res) = e.resource {
             assert!(
-                names.contains(res.as_str()),
+                names.contains(res),
                 "trace event {} ran on unknown resource {res}",
                 e.label
             );
         }
     }
     let mut last = SimTime::ZERO;
-    for (id, task) in graph.tasks() {
+    for (id, _) in graph.tasks() {
         let s = schedule.start_time(id);
         let f = schedule.finish_time(id);
-        assert!(
-            f >= s,
-            "task {} finishes at {f} before its start {s}",
-            task.label
-        );
+        let label = graph.label(id);
+        assert!(f >= s, "task {label} finishes at {f} before its start {s}");
         last = last.max(f);
         if let Some(p) = schedule.blocked_by(id) {
             assert!(
                 p.index() < graph.task_count(),
-                "task {} blocked by {p:?} outside the graph",
-                task.label
+                "task {label} blocked by {p:?} outside the graph"
             );
             assert!(
                 schedule.finish_time(p) <= s,
-                "task {} blocked by {}, which finished after it started",
-                task.label,
-                graph[p].label
+                "task {label} blocked by {}, which finished after it started",
+                graph.label(p)
             );
         }
     }
@@ -117,7 +121,6 @@ mod tests {
     use crate::engine::Engine;
     use crate::graph::TaskId;
     use crate::time::SimSpan;
-    use crate::trace::TraceEvent;
 
     #[test]
     fn engine_schedules_satisfy_the_invariants() {
@@ -135,13 +138,13 @@ mod tests {
     fn unsorted_trace_is_rejected() {
         let ev = |start: u64| TraceEvent {
             task: TaskId::from_index(0),
-            label: "t".into(),
-            category: String::new(),
+            label: "t",
+            category: "",
             resource: None,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(start + 1),
         };
-        assert_trace_invariants(&Trace::new(vec![ev(5), ev(2)]));
+        assert_trace_invariants(&[ev(5), ev(2)].into_iter().collect());
     }
 
     #[test]
@@ -151,14 +154,20 @@ mod tests {
         let r = g.add_resource("r", 1);
         g.task("a").on(r).lasting(SimSpan::from_nanos(5)).build();
         let s = Engine::new().run(&g).unwrap();
-        let mut events = s.trace().events().to_vec();
-        events[0].resource = Some("not-a-resource".into());
-        let forged = Trace::new(events);
+        let trace = s.trace(&g, ..);
+        let forged: Trace = trace
+            .events()
+            .iter()
+            .map(|e| TraceEvent {
+                resource: Some("not-a-resource"),
+                ..e
+            })
+            .collect();
         // Rebuild a schedule-shaped check through the trace path.
         let names: BTreeSet<&str> = g.resources().map(|(_, res)| res.name.as_str()).collect();
         for e in forged.events() {
-            if let Some(res) = &e.resource {
-                assert!(names.contains(res.as_str()), "unknown resource {res}");
+            if let Some(res) = e.resource {
+                assert!(names.contains(res), "unknown resource {res}");
             }
         }
     }

@@ -2,11 +2,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Bound, RangeBounds};
 
 use crate::error::SimError;
 use crate::graph::{ResourceId, TaskGraph, TaskId};
 use crate::time::{SimSpan, SimTime};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 
 /// Executes task graphs. `Engine` is stateless between runs; it exists
 /// as a type so future scheduling policies can hang configuration off
@@ -60,16 +61,18 @@ impl ResourceStats {
     }
 }
 
-/// The result of executing a [`TaskGraph`]: start/finish instants for
-/// every task, per-resource statistics, and a flat [`Trace`].
+/// The result of executing a [`TaskGraph`]: start/finish instants,
+/// the blocking task and the final resource binding of every task, plus
+/// per-resource statistics. A [`Trace`] of any range of task ids is
+/// built on request with [`Schedule::trace`].
 #[derive(Debug, Clone)]
 pub struct Schedule {
     start: Vec<SimTime>,
     finish: Vec<SimTime>,
     blocked_by: Vec<Option<TaskId>>,
+    bound: Vec<Option<ResourceId>>,
     resource_stats: Vec<ResourceStats>,
     makespan: SimSpan,
-    trace: Trace,
 }
 
 impl Schedule {
@@ -101,14 +104,55 @@ impl Schedule {
             .map(|(i, s)| (ResourceId(i as u32), s))
     }
 
-    /// The flat event trace, ordered by start time.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the schedule, returning its trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    /// The trace of the tasks whose ids fall in `ids`, ordered by
+    /// `(start, task id)`, with each task's label and category from
+    /// `graph` and its final resource. Pass `..` for the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not the graph this schedule ran (its task
+    /// count differs) or `ids` reaches past its tasks.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use voltascope_sim::{Engine, SimSpan, TaskGraph};
+    ///
+    /// let mut g = TaskGraph::new();
+    /// let r = g.add_resource("gpu", 1);
+    /// g.task("late").on(r).lasting(SimSpan::from_nanos(5)).build();
+    /// g.task("b").lasting(SimSpan::from_nanos(1)).build();
+    /// let schedule = Engine::new().run(&g)?;
+    /// let all = schedule.trace(&g, ..);
+    /// assert_eq!(all.len(), 2);
+    /// let second = schedule.trace(&g, 1..);
+    /// assert_eq!(second.events().get(0).unwrap().label, "b");
+    /// # Ok::<(), voltascope_sim::SimError>(())
+    /// ```
+    pub fn trace(&self, graph: &TaskGraph, ids: impl RangeBounds<usize>) -> Trace {
+        let n = self.start.len();
+        assert_eq!(
+            graph.task_count(),
+            n,
+            "trace of a schedule against another graph"
+        );
+        let lo = match ids.start_bound() {
+            Bound::Included(&i) => i,
+            Bound::Excluded(&i) => i + 1,
+            Bound::Unbounded => 0,
+        };
+        let hi = match ids.end_bound() {
+            Bound::Included(&i) => i + 1,
+            Bound::Excluded(&i) => i,
+            Bound::Unbounded => n,
+        };
+        assert!(
+            lo <= hi && hi <= n,
+            "task range {lo}..{hi} outside a schedule of {n} tasks"
+        );
+        let mut order: Vec<TaskId> = (lo..hi).map(|i| TaskId(i as u32)).collect();
+        order.sort_unstable_by_key(|&t| (self.start[t.index()], t));
+        Trace::of_run(graph, &order, &self.start, &self.finish, &self.bound)
     }
 
     /// The task (dependency or resource predecessor) that determined
@@ -231,7 +275,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if the graph contains a dependency
-    /// cycle (some tasks never become ready).
+    /// cycle (some tasks never become ready), and [`SimError::Overflow`]
+    /// if simulated time leaves the `u64` nanosecond range.
     pub fn run(&self, graph: &TaskGraph) -> Result<Schedule, SimError> {
         self.run_with_events(graph, &[])
     }
@@ -253,7 +298,9 @@ impl Engine {
     ///
     /// Returns [`SimError::Deadlock`] if the graph contains a dependency
     /// cycle, or if a [`DynamicEventKind::Fail`] without a fallback
-    /// leaves tasks permanently unservable.
+    /// leaves tasks permanently unservable; [`SimError::Overflow`] if a
+    /// finish instant or a resource's busy or queue-wait total leaves
+    /// the `u64` nanosecond range.
     ///
     /// # Panics
     ///
@@ -301,13 +348,38 @@ impl Engine {
 
         let n = graph.tasks.len();
         let mut indegree = vec![0u32; n];
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        // Reverse edges in one flat array: task `d`'s dependents are
+        // `dependents[first_dependent[d]..first_dependent[d + 1]]`, in
+        // ascending id order.
+        let mut first_dependent = vec![0u32; n + 1];
         for (id, task) in graph.tasks() {
             indegree[id.index()] = task.deps.len() as u32;
             for &dep in &task.deps {
-                dependents[dep.index()].push(id);
+                first_dependent[dep.index() + 1] += 1;
             }
         }
+        for i in 0..n {
+            first_dependent[i + 1] += first_dependent[i];
+        }
+        let mut dependents = vec![TaskId(0); first_dependent[n] as usize];
+        let mut fill: Vec<u32> = first_dependent[..n].to_vec();
+        for (id, task) in graph.tasks() {
+            for &dep in &task.deps {
+                dependents[fill[dep.index()] as usize] = id;
+                fill[dep.index()] += 1;
+            }
+        }
+        // Checked time arithmetic: an overflow names the task at fault.
+        let overflow = |t: usize| SimError::Overflow {
+            task: graph.label(TaskId(t as u32)).to_string(),
+        };
+        let finish_of = |now: SimTime, span: SimSpan, t: usize| {
+            now.checked_add(span).ok_or_else(|| overflow(t))
+        };
+        let accrue = |total: &mut SimSpan, span: SimSpan, t: usize| {
+            *total = total.checked_add(span).ok_or_else(|| overflow(t))?;
+            Ok::<(), SimError>(())
+        };
 
         let mut start = vec![SimTime::ZERO; n];
         let mut finish = vec![SimTime::ZERO; n];
@@ -390,7 +462,7 @@ impl Engine {
                             start[id.index()] = now;
                             segment_start[id.index()] = now;
                             blocked_by[id.index()] = ready_cause[id.index()];
-                            finish_at[id.index()] = now + dur[id.index()];
+                            finish_at[id.index()] = finish_of(now, dur[id.index()], id.index())?;
                             push(
                                 &mut events,
                                 &mut seq,
@@ -409,7 +481,8 @@ impl Engine {
                                 start[id.index()] = now;
                                 segment_start[id.index()] = now;
                                 blocked_by[id.index()] = ready_cause[id.index()];
-                                finish_at[id.index()] = now + dur[id.index()];
+                                finish_at[id.index()] =
+                                    finish_of(now, dur[id.index()], id.index())?;
                                 push(
                                     &mut events,
                                     &mut seq,
@@ -433,14 +506,18 @@ impl Engine {
                     makespan = makespan.max(now);
                     if let Some(rid) = bound[id.index()] {
                         let state = &mut res[rid.index()];
-                        state.busy += now - segment_start[id.index()];
+                        accrue(&mut state.busy, now - segment_start[id.index()], id.index())?;
                         state.served += 1;
                         state.in_service -= 1;
                         in_service_task[id.index()] = false;
                         if alive[rid.index()] {
                             if let Some(next) = state.queue.pop_front() {
                                 state.in_service += 1;
-                                state.queue_wait += now - ready_at[next.index()];
+                                accrue(
+                                    &mut state.queue_wait,
+                                    now - ready_at[next.index()],
+                                    next.index(),
+                                )?;
                                 if !started[next.index()] {
                                     started[next.index()] = true;
                                     start[next.index()] = now;
@@ -458,7 +535,8 @@ impl Engine {
                                 }
                                 in_service_task[next.index()] = true;
                                 segment_start[next.index()] = now;
-                                finish_at[next.index()] = now + dur[next.index()];
+                                finish_at[next.index()] =
+                                    finish_of(now, dur[next.index()], next.index())?;
                                 push(
                                     &mut events,
                                     &mut seq,
@@ -468,7 +546,11 @@ impl Engine {
                             }
                         }
                     }
-                    for &dep_id in &dependents[id.index()] {
+                    let (lo, hi) = (
+                        first_dependent[id.index()] as usize,
+                        first_dependent[id.index() + 1] as usize,
+                    );
+                    for &dep_id in &dependents[lo..hi] {
                         let d = dep_id.index();
                         indegree[d] -= 1;
                         if indegree[d] == 0 {
@@ -496,7 +578,7 @@ impl Engine {
                                 // to complete normally.
                                 if finish_at[t] > now {
                                     let remaining = finish_at[t] - now;
-                                    finish_at[t] = now + remaining.mul_f64(factor);
+                                    finish_at[t] = finish_of(now, remaining.mul_f64(factor), t)?;
                                     push(
                                         &mut events,
                                         &mut seq,
@@ -532,7 +614,7 @@ impl Engine {
                                 if finish_at[t] == now {
                                     continue; // finishing this instant
                                 }
-                                res[rix].busy += now - segment_start[t];
+                                accrue(&mut res[rix].busy, now - segment_start[t], t)?;
                                 res[rix].in_service -= 1;
                                 in_service_task[t] = false;
                                 dur[t] = (finish_at[t] - now).mul_f64(duration_factor);
@@ -549,7 +631,11 @@ impl Engine {
                             }
                         }
                         for &t in &waiting {
-                            res[rix].queue_wait += now - ready_at[t.index()];
+                            accrue(
+                                &mut res[rix].queue_wait,
+                                now - ready_at[t.index()],
+                                t.index(),
+                            )?;
                             ready_at[t.index()] = now;
                             dur[t.index()] = dur[t.index()].mul_f64(duration_factor);
                             displaced.push(t);
@@ -574,7 +660,8 @@ impl Engine {
                                         }
                                         in_service_task[t.index()] = true;
                                         segment_start[t.index()] = now;
-                                        finish_at[t.index()] = now + dur[t.index()];
+                                        finish_at[t.index()] =
+                                            finish_of(now, dur[t.index()], t.index())?;
                                         push(
                                             &mut events,
                                             &mut seq,
@@ -601,10 +688,9 @@ impl Engine {
         }
 
         if completed_count != n {
-            let stuck = graph
-                .tasks()
-                .filter(|(id, _)| !completed[id.index()])
-                .map(|(_, t)| t.label.clone())
+            let stuck = (0..n)
+                .filter(|&i| !completed[i])
+                .map(|i| graph.label(TaskId(i as u32)).to_string())
                 .collect();
             return Err(SimError::Deadlock { stuck });
         }
@@ -621,28 +707,13 @@ impl Engine {
             })
             .collect();
 
-        let mut events: Vec<TraceEvent> = graph
-            .tasks()
-            .map(|(id, task)| TraceEvent {
-                task: id,
-                label: task.label.clone(),
-                category: task.category.clone(),
-                // The *final* binding: identical to the graph's unless a
-                // dynamic event re-bound the task mid-run.
-                resource: bound[id.index()].map(|r| graph[r].name.clone()),
-                start: start[id.index()],
-                end: finish[id.index()],
-            })
-            .collect();
-        events.sort_by_key(|e| (e.start, e.task));
-
         Ok(Schedule {
             start,
             finish,
             blocked_by,
+            bound,
             resource_stats,
             makespan: makespan - SimTime::ZERO,
-            trace: Trace::new(events),
         })
     }
 }
@@ -771,11 +842,12 @@ mod tests {
         let b = g.task("b").lasting(span(1)).after(a).build();
         g.add_dep(b, a); // creates the cycle a -> b -> a
         let err = Engine::new().run(&g).unwrap_err();
-        match err {
-            SimError::Deadlock { stuck } => {
-                assert_eq!(stuck, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                stuck: vec!["a".to_string(), "b".to_string()]
             }
-        }
+        );
     }
 
     #[test]
@@ -896,11 +968,84 @@ mod tests {
             .build();
         g.task("early").on(r).lasting(span(5)).build();
         let s = Engine::new().run(&g).unwrap();
-        let starts: Vec<_> = s.trace().events().iter().map(|e| e.start).collect();
+        let trace = s.trace(&g, ..);
+        let starts: Vec<_> = trace.events().iter().map(|e| e.start).collect();
         let mut sorted = starts.clone();
         sorted.sort();
         assert_eq!(starts, sorted);
-        assert_eq!(s.trace().events()[0].label, "early");
+        assert_eq!(trace.events().get(0).unwrap().label, "early");
+    }
+
+    #[test]
+    fn traces_of_id_ranges_keep_start_order_and_final_bindings() {
+        let mut g = TaskGraph::new();
+        let r = g.add_resource("r", 1);
+        let fb = g.add_resource("fb", 1);
+        g.task("a").on(r).lasting(span(10)).category("x").build();
+        let b = g.task("b").on(r).lasting(span(4)).category("y").build();
+        g.task("c").lasting(span(1)).category("x").after(b).build();
+        let s = Engine::new()
+            .run_with_events(&g, &[fail(5, r, fb, 1.0)])
+            .unwrap();
+        fn labels(t: &Trace) -> Vec<(&str, Option<&str>)> {
+            t.events().iter().map(|e| (e.label, e.resource)).collect()
+        }
+        assert_eq!(
+            labels(&s.trace(&g, ..)),
+            [("a", Some("fb")), ("b", Some("fb")), ("c", None)]
+        );
+        // b was queued behind a; both moved to the fallback.
+        let tail = s.trace(&g, b.index()..);
+        assert_eq!(labels(&tail), [("b", Some("fb")), ("c", None)]);
+        assert_eq!(tail.events().get(1).unwrap().category, "x");
+        // Each category and resource name is stored once.
+        assert_eq!(s.trace(&g, ..).table().len(), 3 + 2 + 1);
+        assert!(s.trace(&g, 1..1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a schedule")]
+    fn trace_range_past_the_tasks_panics() {
+        let mut g = TaskGraph::new();
+        g.task("a").build();
+        let s = Engine::new().run(&g).unwrap();
+        let _ = s.trace(&g, 0..2);
+    }
+
+    #[test]
+    fn overflowing_time_is_a_typed_error_naming_the_task() {
+        let huge = SimSpan::from_nanos(u64::MAX / 2 + 1);
+        // A finish instant past u64::MAX.
+        let mut g = TaskGraph::new();
+        let a = g.task("a").lasting(huge).build();
+        g.task("b").lasting(huge).after(a).build();
+        assert_eq!(
+            Engine::new().run(&g).unwrap_err(),
+            SimError::Overflow { task: "b".into() }
+        );
+        // A busy total past u64::MAX, on a capacity-2 resource whose
+        // two tasks each fit the clock.
+        let mut g = TaskGraph::new();
+        let r = g.add_resource("r", 2);
+        g.task("x").on(r).lasting(huge).build();
+        g.task("y").on(r).lasting(huge).build();
+        assert_eq!(
+            Engine::new().run(&g).unwrap_err(),
+            SimError::Overflow { task: "y".into() }
+        );
+        // A re-priced remainder saturates, then its finish overflows.
+        let mut g = TaskGraph::new();
+        let r = g.add_resource("r", 1);
+        g.task("slow").on(r).lasting(span(100)).build();
+        let err = Engine::new()
+            .run_with_events(&g, &[scale(10, r, 1e30)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Overflow {
+                task: "slow".into()
+            }
+        );
     }
 
     // ---- Dynamic events. ----
@@ -938,7 +1083,7 @@ mod tests {
         let a = Engine::new().run(&g).unwrap();
         let b = Engine::new().run_with_events(&g, &[]).unwrap();
         assert_eq!(a.makespan(), b.makespan());
-        assert_eq!(a.trace().events(), b.trace().events());
+        assert_eq!(a.trace(&g, ..), b.trace(&g, ..));
     }
 
     #[test]
@@ -1004,8 +1149,8 @@ mod tests {
         assert_eq!(s.resource_stats(fb).busy, span(8 + 15));
         assert_eq!(s.resource_stats(fb).served, 2);
         // Trace reports the final binding.
-        for e in s.trace().events() {
-            assert_eq!(e.resource.as_deref(), Some("fb"));
+        for e in s.trace(&g, ..).events() {
+            assert_eq!(e.resource, Some("fb"));
         }
     }
 
@@ -1040,13 +1185,12 @@ mod tests {
         assert_eq!(s.start_time(b).as_nanos(), 10);
         assert_eq!(s.finish_time(b).as_nanos(), 30);
         assert_eq!(
-            s.trace()
+            s.trace(&g, ..)
                 .events()
                 .iter()
                 .find(|e| e.label == "b")
                 .unwrap()
-                .resource
-                .as_deref(),
+                .resource,
             Some("fb")
         );
     }
@@ -1073,7 +1217,7 @@ mod tests {
         let (g_pre, _, _) = build("fb", 2.0);
         let prebound = Engine::new().run(&g_pre).unwrap();
         assert_eq!(dynamic.makespan(), prebound.makespan());
-        assert_eq!(dynamic.trace().events(), prebound.trace().events());
+        assert_eq!(dynamic.trace(&g_dyn, ..), prebound.trace(&g_pre, ..));
     }
 
     #[test]
@@ -1089,7 +1233,7 @@ mod tests {
                 .run_with_events(&g, &[fail(at, r, fb, 3.0), scale(at, r, 5.0)])
                 .unwrap();
             assert_eq!(healthy.makespan(), faulted.makespan(), "event at {at}");
-            assert_eq!(healthy.trace().events(), faulted.trace().events());
+            assert_eq!(healthy.trace(&g, ..), faulted.trace(&g, ..));
             assert_eq!(
                 healthy.resource_stats(r).busy,
                 faulted.resource_stats(r).busy
@@ -1110,12 +1254,13 @@ mod tests {
             .unwrap();
         // a finished exactly as the link died: it stays on r.
         assert_eq!(s.finish_time(a).as_nanos(), 10);
-        let ev_a = s.trace().events().iter().find(|e| e.label == "a").unwrap();
-        assert_eq!(ev_a.resource.as_deref(), Some("r"));
+        let trace = s.trace(&g, ..);
+        let ev_a = trace.events().iter().find(|e| e.label == "a").unwrap();
+        assert_eq!(ev_a.resource, Some("r"));
         // b had not started: it runs on the fallback.
         assert_eq!(s.finish_time(b).as_nanos(), 14);
-        let ev_b = s.trace().events().iter().find(|e| e.label == "b").unwrap();
-        assert_eq!(ev_b.resource.as_deref(), Some("fb"));
+        let ev_b = trace.events().iter().find(|e| e.label == "b").unwrap();
+        assert_eq!(ev_b.resource, Some("fb"));
     }
 
     #[test]
@@ -1136,9 +1281,12 @@ mod tests {
                 }],
             )
             .unwrap_err();
-        match err {
-            SimError::Deadlock { stuck } => assert_eq!(stuck, vec!["doomed".to_string()]),
-        }
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                stuck: vec!["doomed".to_string()]
+            }
+        );
     }
 
     #[test]
@@ -1156,8 +1304,9 @@ mod tests {
         assert_eq!(s.resource_stats(r1).busy, span(10));
         assert_eq!(s.resource_stats(r2).busy, span(10));
         assert_eq!(s.resource_stats(r3).busy, span(80));
-        let ev = s.trace().events().iter().find(|e| e.label == "a").unwrap();
-        assert_eq!(ev.resource.as_deref(), Some("r3"));
+        let trace = s.trace(&g, ..);
+        let ev = trace.events().iter().find(|e| e.label == "a").unwrap();
+        assert_eq!(ev.resource, Some("r3"));
     }
 
     #[test]

@@ -12,6 +12,13 @@ pub enum SimError {
         /// Labels of the tasks that never became ready.
         stuck: Vec<String>,
     },
+    /// Simulated time left the `u64` nanosecond range (about 584
+    /// years): a finish instant, or a resource's busy or queue-wait
+    /// total, overflowed while the named task was being scheduled.
+    Overflow {
+        /// Label of the task whose arithmetic overflowed.
+        task: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -24,6 +31,9 @@ impl fmt::Display for SimError {
                     stuck.len(),
                     stuck.join(", ")
                 )
+            }
+            SimError::Overflow { task } => {
+                write!(f, "simulated time overflows u64 nanoseconds at task {task}")
             }
         }
     }
@@ -43,5 +53,9 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("2 task(s)"));
         assert!(msg.contains("a, b"));
+        let err = SimError::Overflow {
+            task: "it1/h2d".into(),
+        };
+        assert!(err.to_string().ends_with("at task it1/h2d"));
     }
 }

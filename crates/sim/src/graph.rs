@@ -2,6 +2,8 @@
 //!
 //! [`Engine`]: crate::Engine
 
+use std::fmt::{self, Write as _};
+
 use crate::time::{SimSpan, SimTime};
 
 /// Identifies a task within one [`TaskGraph`]. Indices are dense and
@@ -45,14 +47,11 @@ pub struct Resource {
     pub capacity: u32,
 }
 
-/// One unit of simulated work.
+/// One unit of simulated work. Its label and category live in the
+/// graph: read them with [`TaskGraph::label`] and
+/// [`TaskGraph::category`].
 #[derive(Debug, Clone)]
 pub struct Task {
-    /// Human-readable label, e.g. `"fp.conv2"`.
-    pub label: String,
-    /// Aggregation category (e.g. `"fp"`, `"bp"`, `"wu.comm"`, `"api"`).
-    /// Profiler reports group by this string.
-    pub category: String,
     /// Resource the task occupies while running; `None` means the task
     /// only waits for its dependencies and consumes no shared capacity.
     pub resource: Option<ResourceId>,
@@ -64,9 +63,18 @@ pub struct Task {
     /// dependencies (used for externally-paced arrivals like the CPU
     /// feeding mini-batches).
     pub release: SimTime,
+    /// Where this task's label ends in the graph's label arena (it
+    /// starts where the previous task's ends).
+    label_end: u32,
+    /// Index into the graph's category table.
+    pub(crate) category: u32,
 }
 
 /// A static DAG of [`Task`]s plus the [`Resource`]s they contend for.
+///
+/// Labels are written into one arena owned by the graph, and each
+/// distinct category is stored once, so adding a task allocates no
+/// strings of its own.
 ///
 /// Build one with [`TaskGraph::new`], [`TaskGraph::add_resource`] and
 /// the [`TaskGraph::task`] builder, then execute it with
@@ -83,11 +91,27 @@ pub struct Task {
 /// let b = graph.task("b").after(a).build(); // zero-length barrier task
 /// assert_eq!(graph.task_count(), 2);
 /// assert_eq!(graph[b].deps, vec![a]);
+/// assert_eq!(graph.label(b), "b");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TaskGraph {
     pub(crate) tasks: Vec<Task>,
     pub(crate) resources: Vec<Resource>,
+    /// Every task's label, back to back in id order.
+    labels: String,
+    /// Distinct categories; index 0 is the empty default.
+    pub(crate) categories: Vec<Box<str>>,
+}
+
+impl Default for TaskGraph {
+    fn default() -> Self {
+        TaskGraph {
+            tasks: Vec::new(),
+            resources: Vec::new(),
+            labels: String::new(),
+            categories: vec!["".into()],
+        }
+    }
 }
 
 impl TaskGraph {
@@ -112,20 +136,44 @@ impl TaskGraph {
         id
     }
 
-    /// Starts building a task labelled `label`. The task is added to the
-    /// graph when [`TaskBuilder::build`] is called.
-    pub fn task(&mut self, label: impl Into<String>) -> TaskBuilder<'_> {
+    /// Starts building a task labelled `label`, which is written
+    /// straight into the graph's label arena (pass `format_args!` to
+    /// build no intermediate `String`). The task is added to the graph
+    /// when [`TaskBuilder::build`] is called.
+    pub fn task(&mut self, label: impl fmt::Display) -> TaskBuilder<'_> {
+        // Drops the label of a builder that was never built.
+        self.labels.truncate(self.label_start(self.tasks.len()));
+        write!(self.labels, "{label}").expect("writing to a String cannot fail");
         TaskBuilder {
             graph: self,
             task: Task {
-                label: label.into(),
-                category: String::new(),
                 resource: None,
                 duration: SimSpan::ZERO,
                 deps: Vec::new(),
                 release: SimTime::ZERO,
+                label_end: 0,
+                category: 0,
             },
         }
+    }
+
+    /// Where the label of the task at `index` starts in the arena.
+    fn label_start(&self, index: usize) -> usize {
+        match index {
+            0 => 0,
+            i => self.tasks[i - 1].label_end as usize,
+        }
+    }
+
+    /// The task's label.
+    pub fn label(&self, id: TaskId) -> &str {
+        let end = self.tasks[id.index()].label_end as usize;
+        &self.labels[self.label_start(id.index())..end]
+    }
+
+    /// The task's aggregation category (`""` when none was set).
+    pub fn category(&self, id: TaskId) -> &str {
+        &self.categories[self.tasks[id.index()].category as usize]
     }
 
     /// Number of tasks added so far.
@@ -243,9 +291,20 @@ impl TaskBuilder<'_> {
         self
     }
 
-    /// Sets the aggregation category used by profiler reports.
-    pub fn category(mut self, category: impl Into<String>) -> Self {
-        self.task.category = category.into();
+    /// Sets the aggregation category used by profiler reports (e.g.
+    /// `"fp"`, `"bp"`, `"wu.comm"`, `"api.cudaLaunchKernel"`). Each
+    /// distinct category is stored once per graph.
+    pub fn category(mut self, category: impl AsRef<str>) -> Self {
+        let category = category.as_ref();
+        let table = &mut self.graph.categories;
+        let index = table
+            .iter()
+            .position(|c| **c == *category)
+            .unwrap_or_else(|| {
+                table.push(category.into());
+                table.len() - 1
+            });
+        self.task.category = index as u32;
         self
     }
 
@@ -256,8 +315,14 @@ impl TaskBuilder<'_> {
     }
 
     /// Finalises the task and returns its id.
-    pub fn build(self) -> TaskId {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph's labels outgrow 4 GiB.
+    pub fn build(mut self) -> TaskId {
         let id = TaskId(self.graph.tasks.len() as u32);
+        self.task.label_end =
+            u32::try_from(self.graph.labels.len()).expect("task labels exceed 4 GiB");
         self.graph.tasks.push(self.task);
         id
     }
@@ -280,13 +345,39 @@ mod tests {
             .category("fp")
             .not_before(SimTime::from_nanos(3))
             .build();
-        assert_eq!(g[b].label, "b");
-        assert_eq!(g[b].category, "fp");
+        assert_eq!(g.label(b), "b");
+        assert_eq!(g.category(b), "fp");
+        assert_eq!(g.label(a), "a");
+        assert_eq!(g.category(a), "");
         assert_eq!(g[b].resource, Some(r));
         assert_eq!(g[b].duration, SimSpan::from_nanos(7));
         assert_eq!(g[b].deps, vec![a]);
         assert_eq!(g[b].release, SimTime::from_nanos(3));
         assert_eq!(g[r].capacity, 2);
+    }
+
+    #[test]
+    fn labels_share_one_arena_and_categories_are_interned() {
+        let mut g = TaskGraph::new();
+        let ids: Vec<_> = (0..6)
+            .map(|i| {
+                g.task(format_args!("it{}/k{i}", i % 2))
+                    .category(if i % 2 == 0 { "fp" } else { "bp" })
+                    .build()
+            })
+            .collect();
+        // A builder dropped without `build` leaves no trace in the
+        // next task's label.
+        let _ = g.task("abandoned").category("wu");
+        let last = g.task("last").build();
+        assert_eq!(g.label(ids[0]), "it0/k0");
+        assert_eq!(g.label(ids[5]), "it1/k5");
+        assert_eq!(g.label(last), "last");
+        assert_eq!(g.category(ids[4]), "fp");
+        assert_eq!(g.category(ids[3]), "bp");
+        assert_eq!(g.category(last), "");
+        // "", "fp", "bp" and the abandoned builder's "wu".
+        assert_eq!(g.categories.len(), 4);
     }
 
     #[test]

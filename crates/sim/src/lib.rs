@@ -9,8 +9,11 @@
 //!
 //! The [`Engine`] executes a task graph under a discrete-event schedule
 //! and returns a [`Schedule`]: per-task start/finish times, per-resource
-//! utilisation, the makespan, and a [`Trace`] that downstream crates
-//! (notably `voltascope-profile`) aggregate into nvprof-style reports.
+//! utilisation and the makespan. On request, [`Schedule::trace`] builds
+//! the columnar [`Trace`] of any range of task ids, which downstream
+//! crates (notably `voltascope-profile`) aggregate into nvprof-style
+//! reports. A graph keeps its task labels in one arena and interns its
+//! categories, so building one allocates no string per task.
 //!
 //! Determinism is a hard requirement: two runs of the same graph must
 //! produce bit-identical schedules so that paper-reproduction tables are
@@ -73,4 +76,4 @@ pub use error::SimError;
 pub use graph::{Resource, ResourceId, Task, TaskBuilder, TaskGraph, TaskId};
 pub use jitter::{mean_stddev, Jitter};
 pub use time::{SimSpan, SimTime};
-pub use trace::{Interval, Trace, TraceEvent};
+pub use trace::{EventIter, Events, IndexedEvent, StringTable, Trace, TraceEvent};

@@ -86,6 +86,15 @@ impl SimSpan {
         self.0 == 0
     }
 
+    /// Checked addition: `None` when the sum leaves the `u64`
+    /// nanosecond range.
+    pub const fn checked_add(self, rhs: SimSpan) -> Option<SimSpan> {
+        match self.0.checked_add(rhs.0) {
+            Some(ns) => Some(SimSpan(ns)),
+            None => None,
+        }
+    }
+
     /// Saturating subtraction: `self - rhs`, clamped at zero.
     pub const fn saturating_sub(self, rhs: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_sub(rhs.0))
@@ -229,6 +238,15 @@ impl SimTime {
         SimSpan(self.0 - earlier.0)
     }
 
+    /// The instant `span` after `self`, or `None` when it leaves the
+    /// `u64` nanosecond range.
+    pub const fn checked_add(self, span: SimSpan) -> Option<SimTime> {
+        match self.0.checked_add(span.0) {
+            Some(ns) => Some(SimTime(ns)),
+            None => None,
+        }
+    }
+
     /// The later of the two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -309,6 +327,8 @@ mod tests {
         assert_eq!(a * 4, SimSpan::from_micros(12));
         assert_eq!(a / 3, SimSpan::from_micros(1));
         assert_eq!(b.saturating_sub(a), SimSpan::ZERO);
+        assert_eq!(a.checked_add(b), Some(SimSpan::from_micros(5)));
+        assert_eq!(SimSpan::from_nanos(u64::MAX).checked_add(a), None);
     }
 
     #[test]
@@ -334,6 +354,11 @@ mod tests {
         assert_eq!(t.as_micros(), 10);
         assert_eq!(t - SimTime::ZERO, SimSpan::from_micros(10));
         assert_eq!(t - SimSpan::from_micros(4), SimTime::from_nanos(6_000));
+        assert_eq!(
+            t.checked_add(SimSpan::from_nanos(1)),
+            Some(SimTime::from_nanos(10_001))
+        );
+        assert_eq!(t.checked_add(SimSpan::from_nanos(u64::MAX)), None);
     }
 
     #[test]

@@ -115,32 +115,31 @@ fn build(resources: u32, spec: &[(u64, u8, u8, u8)], twin: Twin) -> (TaskGraph, 
 /// Asserts `a` and `b` are the same schedule, bit for bit: per-task
 /// start/finish instants and blocking attribution, the makespan, and
 /// the trace event-for-event (labels, categories, final resources,
-/// intervals).
+/// intervals). Twin graphs share `g`'s labels, categories and resource
+/// names, so both traces are read against `g`.
 fn assert_identical(g: &TaskGraph, a: &Schedule, b: &Schedule) {
-    for (id, task) in g.tasks() {
+    for (id, _) in g.tasks() {
+        let label = g.label(id);
         assert_eq!(
             a.start_time(id),
             b.start_time(id),
-            "task {} starts diverge",
-            task.label
+            "task {label} starts diverge"
         );
         assert_eq!(
             a.finish_time(id),
             b.finish_time(id),
-            "task {} finishes diverge",
-            task.label
+            "task {label} finishes diverge"
         );
         assert_eq!(
             a.blocked_by(id),
             b.blocked_by(id),
-            "task {} blocking attribution diverges",
-            task.label
+            "task {label} blocking attribution diverges"
         );
     }
     assert_eq!(a.makespan(), b.makespan(), "makespans diverge");
     assert_eq!(
-        a.trace().events(),
-        b.trace().events(),
+        a.trace(g, ..).events(),
+        b.trace(g, ..).events(),
         "traces diverge event-for-event"
     );
 }

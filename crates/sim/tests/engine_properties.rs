@@ -150,7 +150,7 @@ proptest! {
         let g = build(resources, &spec);
         let s = Engine::new().run(&g).unwrap();
         assert_schedule_invariants(&g, &s);
-        let trace = s.trace();
+        let trace = s.trace(&g, ..);
         prop_assert_eq!(trace.len(), g.task_count());
         let mut prev = SimTime::ZERO;
         for e in trace.events() {
@@ -159,10 +159,19 @@ proptest! {
         }
         let even_total: SimSpan = g
             .tasks()
-            .filter(|(_, t)| t.category == "even")
+            .filter(|&(id, _)| g.category(id) == "even")
             .map(|(_, t)| t.duration)
             .sum();
         prop_assert_eq!(trace.total_of("even"), even_total);
+        // Any window of ids is the matching slice of the whole trace.
+        let (lo, hi) = (g.task_count() / 3, 2 * g.task_count() / 3);
+        let window = s.trace(&g, lo..hi);
+        let expected: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| (lo..hi).contains(&e.task.index()))
+            .collect();
+        prop_assert_eq!(window.events().iter().collect::<Vec<_>>(), expected);
     }
 
     /// Bit-determinism across runs for arbitrary graphs.

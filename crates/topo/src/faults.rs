@@ -246,6 +246,15 @@ pub enum FaultError {
         /// The offending factor.
         factor: f64,
     },
+    /// The dead links leave a GPU with no direct link to any CPU: its
+    /// mini-batches and initial weights would have no host to come
+    /// from.
+    CutsUplink {
+        /// The GPU left without a CPU link.
+        gpu: Device,
+        /// The topology's name.
+        topology: String,
+    },
 }
 
 impl fmt::Display for FaultError {
@@ -281,6 +290,12 @@ impl fmt::Display for FaultError {
             FaultError::BadSlowdownFactor { device, factor } => {
                 write!(f, "slowdown factor {factor} for {device} must be >= 1")
             }
+            FaultError::CutsUplink { gpu, topology } => {
+                write!(
+                    f,
+                    "fault leaves {gpu} without a CPU link in topology '{topology}'"
+                )
+            }
         }
     }
 }
@@ -302,8 +317,9 @@ impl Topology {
     ///
     /// Returns a [`FaultError`] when the spec names a device this
     /// topology does not have, kills or degrades a pair with no direct
-    /// link, kills the same pair twice, or carries a degrade/slowdown
-    /// factor outside its valid range.
+    /// link, kills the same pair twice, carries a degrade/slowdown
+    /// factor outside its valid range, or leaves a GPU that had a CPU
+    /// link without one.
     pub fn try_apply(&self, faults: &FaultSpec) -> Result<Topology, FaultError> {
         let pair_eq = |(a1, b1): (Device, Device), (a2, b2): (Device, Device)| {
             (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2)
@@ -351,7 +367,19 @@ impl Topology {
                 return Err(FaultError::BadSlowdownFactor { device, factor });
             }
         }
-        Ok(self.apply_unchecked(faults))
+        let degraded = self.apply_unchecked(faults);
+        let has_uplink = |t: &Topology, g| t.neighbors(g).iter().any(|(n, _)| n.is_cpu());
+        if let Some(&gpu) = self
+            .devices()
+            .iter()
+            .find(|&&g| g.is_gpu() && has_uplink(self, g) && !has_uplink(&degraded, g))
+        {
+            return Err(FaultError::CutsUplink {
+                gpu,
+                topology: self.name().to_string(),
+            });
+        }
+        Ok(degraded)
     }
 
     /// Infallible wrapper over [`Topology::try_apply`].
@@ -613,6 +641,32 @@ mod tests {
             .try_apply(&FaultSpec::new().degrade_link(g(3), g(4), 0.5))
             .unwrap_err();
         assert!(degrade.to_string().contains("degrades non-existent link"));
+    }
+
+    #[test]
+    fn cutting_a_gpus_only_cpu_link_is_a_typed_error() {
+        let topo = dgx1_v100();
+        let (g, cpu) = (Device::gpu, Device::cpu);
+        let err = topo
+            .try_apply(&FaultSpec::new().kill_link(g(0), cpu(0)))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FaultError::CutsUplink {
+                gpu: g(0),
+                topology: topo.name().to_string(),
+            }
+        );
+        assert!(err.to_string().contains("leaves GPU0 without a CPU link"));
+        // GPU4's uplink goes to the other socket.
+        assert!(matches!(
+            topo.try_apply(&FaultSpec::new().kill_nvlinks_of(g(4)).kill_link(g(4), cpu(1))),
+            Err(FaultError::CutsUplink { gpu, .. }) if gpu == g(4)
+        ));
+        // Faults that keep every uplink still apply.
+        assert!(topo
+            .try_apply(&FaultSpec::new().kill_nvlinks_of(g(0)))
+            .is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::{
@@ -29,7 +29,8 @@ use voltascope_comm::{
 use voltascope_dnn::{GradientBucket, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{
-    DynamicEvent, Engine, ResourceId, SimError, SimSpan, SimTime, TaskGraph, TaskId, Trace,
+    DynamicEvent, Engine, ResourceId, Schedule, SimError, SimSpan, SimTime, TaskGraph, TaskId,
+    Trace,
 };
 use voltascope_topo::{dgx1_v100, Device, FaultError, FaultSpec, Topology};
 use voltascope_workload::{LowerError, LoweredWorkload};
@@ -527,6 +528,25 @@ pub(crate) fn simulate_with_events(
     req: &EpochRequest<'_>,
     events: impl FnOnce(&TaskGraph) -> Result<Vec<DynamicEvent>, FaultError>,
 ) -> Result<(EpochReport, [SimTime; 3]), EpochError> {
+    let epoch = assemble(req)?;
+    let dynamic = events(&epoch.graph)?;
+    let schedule = Engine::new().run_with_events(&epoch.graph, &dynamic)?;
+    epoch.extract(req.cfg, &schedule)
+}
+
+/// The task graph of one epoch's three pipelined iterations, with the
+/// tasks its report is read from.
+struct EpochGraph {
+    graph: TaskGraph,
+    /// Each iteration's `iter.done` marker, in iteration order.
+    markers: [TaskId; 3],
+    /// (sync task, host predecessor) pairs of the middle iteration,
+    /// for blocking-time attribution.
+    sync_pairs: Vec<(TaskId, TaskId)>,
+}
+
+/// Lowers an already validated request to its [`EpochGraph`].
+fn assemble(req: &EpochRequest<'_>) -> Result<EpochGraph, EpochError> {
     let (sys, workload, cfg, tuner) = (req.sys, req.workload, req.cfg, req.tuner);
     let mut graph = TaskGraph::new();
     let net = LinkNetwork::register(&mut graph, &sys.topo);
@@ -615,19 +635,19 @@ pub(crate) fn simulate_with_events(
                 workload.param_bytes,
                 &deps,
                 "setup.weights",
-                &format!("init.weights@{g}"),
+                format_args!("init.weights@{g}"),
             )
         })
         .collect();
 
     // ---- Three pipelined iterations. ----
     const ITERS: usize = 3;
-    let mut markers = Vec::with_capacity(ITERS);
+    let mut markers = [TaskId::from_index(0); ITERS];
     // (sync task, host predecessor) pairs of the middle iteration, for
     // blocking-time attribution.
     let mut sync_pairs: Vec<(TaskId, TaskId)> = Vec::new();
 
-    for it in 0..ITERS {
+    for (it, iter_done) in markers.iter_mut().enumerate() {
         let p = format!("it{it}");
         // Per GPU, per bucket: the BP kernel that produced the bucket.
         let mut bucket_ready: Vec<Vec<Option<TaskId>>> =
@@ -638,7 +658,7 @@ pub(crate) fn simulate_with_events(
             // Per-GPU iteration dispatch on the shared scheduler thread
             // (data iterator + kvstore bookkeeping).
             let dispatch = graph
-                .task(format!("{p}/dispatch@{g}"))
+                .task(format_args!("{p}/dispatch@{g}"))
                 .on(scheduler)
                 .lasting(sys.host_dispatch)
                 .category("api.kvstoreDispatch")
@@ -647,7 +667,7 @@ pub(crate) fn simulate_with_events(
             // Mini-batch H2D (prefetched; PCIe contention is modelled by
             // the link resource itself).
             let issue = graph
-                .task(format!("{p}/h2d.issue@{g}"))
+                .task(format_args!("{p}/h2d.issue@{g}"))
                 .on(host[&g])
                 .lasting(sys.api.cost(ApiCall::MemcpyAsync))
                 .category(ApiCall::MemcpyAsync.category())
@@ -661,7 +681,7 @@ pub(crate) fn simulate_with_events(
                 batch_bytes,
                 &[issue],
                 "h2d",
-                &format!("{p}/data@{g}"),
+                format_args!("{p}/data@{g}"),
             );
 
             let mut host_prev = issue;
@@ -669,7 +689,7 @@ pub(crate) fn simulate_with_events(
             let mut kernel_ids: Vec<TaskId> = Vec::with_capacity(kernels.len());
             for (ki, kd) in kernels.iter().enumerate() {
                 let launch = graph
-                    .task(format!("{p}/launch.{}@{g}", kd.name))
+                    .task(format_args!("{p}/launch.{}@{g}", kd.name))
                     .on(host[&g])
                     .lasting(sys.api.cost(ApiCall::LaunchKernel))
                     .category(ApiCall::LaunchKernel.category())
@@ -683,7 +703,7 @@ pub(crate) fn simulate_with_events(
                     Stage::Backward => "bp",
                 };
                 let mut builder = graph
-                    .task(format!("{p}/{}@{g}", kd.name))
+                    .task(format_args!("{p}/{}@{g}", kd.name))
                     .on(compute[&g])
                     .lasting(duration)
                     .category(category)
@@ -748,7 +768,7 @@ pub(crate) fn simulate_with_events(
                     // DAG mode; a zero-cost marker joins all BP nodes
                     // for end-of-compute gating.
                     graph
-                        .task(format!("{p}/bp.done@{g}"))
+                        .task(format_args!("{p}/bp.done@{g}"))
                         .category("marker")
                         .after_all(kernel_ids[n..].iter().copied())
                         .build()
@@ -762,7 +782,7 @@ pub(crate) fn simulate_with_events(
             }
             // End-of-compute stream synchronisation.
             let sync = graph
-                .task(format!("{p}/sync.fpbp@{g}"))
+                .task(format_args!("{p}/sync.fpbp@{g}"))
                 .on(host[&g])
                 .lasting(sys.api.cost(ApiCall::StreamSynchronize))
                 .category(ApiCall::StreamSynchronize.category())
@@ -809,7 +829,7 @@ pub(crate) fn simulate_with_events(
                 let mut gated = bucket_ready.clone();
                 for (gi, &g) in gpus.iter().enumerate().filter(|_| cfg.gpu_count > 1) {
                     let group = graph
-                        .task(format!("{p}/nccl.group@{g}"))
+                        .task(format_args!("{p}/nccl.group@{g}"))
                         .on(scheduler)
                         .lasting(sys.nccl.group_call_overhead)
                         .category("api.ncclGroupLaunch")
@@ -817,7 +837,7 @@ pub(crate) fn simulate_with_events(
                         .build();
                     for slot in gated[gi].iter_mut() {
                         let merged = graph
-                            .task(format!("{p}/nccl.gate@{g}"))
+                            .task(format_args!("{p}/nccl.gate@{g}"))
                             .category("marker")
                             .after(*slot)
                             .after(group)
@@ -836,13 +856,13 @@ pub(crate) fn simulate_with_events(
         let mut iter_done_per_gpu = Vec::with_capacity(cfg.gpu_count);
         for (gi, &g) in gpus.iter().enumerate() {
             let barrier = graph
-                .task(format!("{p}/weights.ready@{g}"))
+                .task(format_args!("{p}/weights.ready@{g}"))
                 .category("marker")
                 .after_all(wu_done[gi].iter().copied())
                 .build();
             weights_ready[gi] = barrier;
             let sync = graph
-                .task(format!("{p}/sync.wu@{g}"))
+                .task(format_args!("{p}/sync.wu@{g}"))
                 .on(host[&g])
                 .lasting(sys.api.cost(ApiCall::StreamSynchronize))
                 .category(ApiCall::StreamSynchronize.category())
@@ -855,109 +875,123 @@ pub(crate) fn simulate_with_events(
             iter_done_per_gpu.push(sync);
         }
         let marker = graph
-            .task(format!("{p}/iter.done"))
+            .task(format_args!("{p}/iter.done"))
             .category("marker")
             .after_all(iter_done_per_gpu)
             .build();
-        markers.push(marker);
+        *iter_done = marker;
     }
 
-    // ---- Execute and extract. ----
-    let dynamic = events(&graph)?;
-    let schedule = Engine::new().run_with_events(&graph, &dynamic)?;
-    // The blocking chain runs earliest-first through whatever each
-    // task waited on; keep the steady-state slice (the middle
-    // iteration's tasks).
-    let critical_chain: Vec<String> = schedule
-        .critical_chain()
-        .into_iter()
-        .filter_map(|t| graph[t].label.strip_prefix("it1/").map(str::to_string))
-        .collect();
-    let t0 = schedule.finish_time(markers[0]);
-    let t1 = schedule.finish_time(markers[1]);
-    let t2 = schedule.finish_time(markers[2]);
-    let iter_time = t2 - t1;
-    let iterations = cfg
-        .dataset
-        .iterations(cfg.scaling, cfg.batch_per_gpu, cfg.gpu_count);
-    // Epoch = first (fill) iteration + steady-state repetitions.
-    let epoch_time = epoch_span(&[
-        (t0 - SimTime::ZERO, 1),
-        (iter_time, iterations.saturating_sub(1)),
-    ])?;
+    Ok(EpochGraph {
+        graph,
+        markers,
+        sync_pairs,
+    })
+}
 
-    // Middle-iteration event window [t0, t1].
-    let trace = schedule.trace();
-    let mid: Vec<_> = trace
-        .events()
-        .iter()
-        .filter(|e| e.label.starts_with("it1/"))
-        .cloned()
-        .collect();
-    // FP+BP attribution: the mean per-GPU compute-stream busy time
-    // (each stream is serial, so busy == sum of kernel durations).
-    // Everything else in the iteration — communication, update kernels,
-    // synchronisation stalls — is the exposed WU stage, matching the
-    // paper's accounting where hidden (overlapped) communication is not
-    // charged to WU (§V-C footnote 6).
-    let compute_busy_total: SimSpan = mid
-        .iter()
-        .filter(|e| e.category == "fp" || e.category == "bp")
-        .map(|e| e.duration())
-        .sum();
-    let fp_bp_iter = compute_busy_total / cfg.gpu_count as u64;
-    let wu_iter = iter_time.saturating_sub(fp_bp_iter);
+impl EpochGraph {
+    /// The middle (steady-state) iteration's task ids: every task
+    /// built after the fill iteration's marker, up to and including
+    /// the middle iteration's own.
+    fn middle_iteration(&self) -> RangeInclusive<usize> {
+        self.markers[0].index() + 1..=self.markers[1].index()
+    }
 
-    let mut api_iter: BTreeMap<String, SimSpan> = BTreeMap::new();
-    for e in &mid {
-        if e.category.starts_with("api.") {
-            *api_iter.entry(e.category.clone()).or_insert(SimSpan::ZERO) += e.duration();
+    /// Reads the report from `schedule`, a run of this graph, plus the
+    /// three iteration-marker finish instants.
+    fn extract(
+        &self,
+        cfg: &TrainConfig,
+        schedule: &Schedule,
+    ) -> Result<(EpochReport, [SimTime; 3]), EpochError> {
+        let graph = &self.graph;
+        let window = self.middle_iteration();
+        // The blocking chain runs earliest-first through whatever each
+        // task waited on; keep the steady-state slice.
+        let critical_chain: Vec<String> = schedule
+            .critical_chain()
+            .into_iter()
+            .filter(|t| window.contains(&t.index()))
+            .map(|t| {
+                let label = graph.label(t);
+                label.strip_prefix("it1/").unwrap_or(label).to_string()
+            })
+            .collect();
+        let [t0, t1, t2] = self.markers.map(|m| schedule.finish_time(m));
+        let iter_time = t2 - t1;
+        let iterations = cfg
+            .dataset
+            .iterations(cfg.scaling, cfg.batch_per_gpu, cfg.gpu_count);
+        // Epoch = first (fill) iteration + steady-state repetitions.
+        let epoch_time = epoch_span(&[
+            (t0 - SimTime::ZERO, 1),
+            (iter_time, iterations.saturating_sub(1)),
+        ])?;
+
+        let mut iter_trace = schedule.trace(graph, window);
+        // FP+BP attribution: the mean per-GPU compute-stream busy time
+        // (each stream is serial, so busy == sum of kernel durations).
+        // Everything else in the iteration — communication, update
+        // kernels, synchronisation stalls — is the exposed WU stage,
+        // matching the paper's accounting where hidden (overlapped)
+        // communication is not charged to WU (§V-C footnote 6).
+        let mut compute_busy_total = SimSpan::ZERO;
+        let mut api_iter: BTreeMap<String, SimSpan> = BTreeMap::new();
+        for e in iter_trace.events() {
+            if e.category == "fp" || e.category == "bp" {
+                add_span(&mut compute_busy_total, e.duration(), "compute busy time")?;
+            } else if e.category.starts_with("api.") {
+                match api_iter.get_mut(e.category) {
+                    Some(total) => add_span(total, e.duration(), "API call time")?,
+                    None => {
+                        api_iter.insert(e.category.to_string(), e.duration());
+                    }
+                }
+            }
         }
+        let fp_bp_iter = compute_busy_total / cfg.gpu_count as u64;
+        let wu_iter = iter_time.saturating_sub(fp_bp_iter);
+
+        let mut sync_wall_total = SimSpan::ZERO;
+        for &(sync, prev) in &self.sync_pairs {
+            let blocked = schedule.finish_time(sync)
+                - schedule.finish_time(prev).min(schedule.start_time(sync));
+            add_span(&mut sync_wall_total, blocked, "stream-synchronize time")?;
+        }
+        // Average over the per-GPU host threads (each thread makes the
+        // same calls; nvprof reports per-thread shares).
+        let sync_wall_iter = sync_wall_total / cfg.gpu_count as u64;
+
+        let compute_utilization = if iter_time.is_zero() {
+            0.0
+        } else {
+            compute_busy_total.ratio(iter_time) / cfg.gpu_count as f64
+        };
+
+        // Profiler reports read the iteration from time zero.
+        iter_trace.rebase();
+        Ok((
+            EpochReport {
+                iterations,
+                iter_time,
+                epoch_time,
+                fp_bp_iter,
+                wu_iter,
+                api_iter,
+                sync_wall_iter,
+                compute_utilization,
+                iter_trace,
+                critical_chain,
+            },
+            [t0, t1, t2],
+        ))
     }
-    let sync_wall_total: SimSpan = sync_pairs
-        .iter()
-        .map(|&(sync, prev)| {
-            schedule.finish_time(sync) - schedule.finish_time(prev).min(schedule.start_time(sync))
-        })
-        .sum();
-    // Average over the per-GPU host threads (each thread makes the
-    // same calls; nvprof reports per-thread shares).
-    let sync_wall_iter = sync_wall_total / cfg.gpu_count as u64;
+}
 
-    let compute_utilization = if iter_time.is_zero() {
-        0.0
-    } else {
-        compute_busy_total.ratio(iter_time) / cfg.gpu_count as f64
-    };
-
-    // Rebase the middle-iteration trace to start at zero.
-    let base = mid.iter().map(|e| e.start).min().unwrap_or_default();
-    let rebased: Vec<_> = mid
-        .into_iter()
-        .map(|mut e| {
-            let offset = e.start - base;
-            let len = e.duration();
-            e.start = SimTime::ZERO + offset;
-            e.end = e.start + len;
-            e
-        })
-        .collect();
-
-    Ok((
-        EpochReport {
-            iterations,
-            iter_time,
-            epoch_time,
-            fp_bp_iter,
-            wu_iter,
-            api_iter,
-            sync_wall_iter,
-            compute_utilization,
-            iter_trace: Trace::new(rebased),
-            critical_chain,
-        },
-        [t0, t1, t2],
-    ))
+/// `total += span`, or [`EpochError::Overflow`] naming `what`.
+fn add_span(total: &mut SimSpan, span: SimSpan, what: &'static str) -> Result<(), EpochError> {
+    *total = total.checked_add(span).ok_or(EpochError::Overflow(what))?;
+    Ok(())
 }
 
 /// MXNet `device` kvstore: tree-reduce every gradient bucket onto GPU0,
@@ -985,7 +1019,10 @@ fn build_p2p_wu(
         for round in tree.reduce_steps() {
             for (from, to) in round {
                 let issue = graph
-                    .task(format!("{prefix}/wu.issue.{}.{from}>{to}", bucket.name))
+                    .task(format_args!(
+                        "{prefix}/wu.issue.{}.{from}>{to}",
+                        bucket.name
+                    ))
                     .on(host[&gpus[from]])
                     .lasting(sys.p2p_issue)
                     .category("api.kvstorePush")
@@ -999,10 +1036,10 @@ fn build_p2p_wu(
                     bucket.bytes,
                     &[issue, cur[to]],
                     "wu.p2p.reduce",
-                    &format!("{prefix}/wu.grad.{}.{from}>{to}", bucket.name),
+                    format_args!("{prefix}/wu.grad.{}.{from}>{to}", bucket.name),
                 );
                 let add = graph
-                    .task(format!("{prefix}/wu.add.{}@{to}", bucket.name))
+                    .task(format_args!("{prefix}/wu.add.{}@{to}", bucket.name))
                     .on(compute[&gpus[to]])
                     // Read both operands, write the sum: 3x bucket bytes.
                     .lasting(kmodels[&gpus[to]].elementwise_kernel_time(3 * bucket.bytes))
@@ -1016,7 +1053,7 @@ fn build_p2p_wu(
         // SGD update on the parameter-server GPU: elementwise over
         // weights, gradients and momentum (~5x bucket bytes traffic).
         let upd = graph
-            .task(format!("{prefix}/wu.update.{}", bucket.name))
+            .task(format_args!("{prefix}/wu.update.{}", bucket.name))
             .on(compute[&gpus[0]])
             .lasting(kmodels[&gpus[0]].elementwise_kernel_time(5 * bucket.bytes))
             .category("wu.update")
@@ -1027,7 +1064,10 @@ fn build_p2p_wu(
         for round in tree.broadcast_steps() {
             for (from, to) in round {
                 let issue = graph
-                    .task(format!("{prefix}/wu.bissue.{}.{from}>{to}", bucket.name))
+                    .task(format_args!(
+                        "{prefix}/wu.bissue.{}.{from}>{to}",
+                        bucket.name
+                    ))
                     .on(host[&gpus[from]])
                     .lasting(sys.p2p_issue)
                     .category("api.kvstorePull")
@@ -1041,7 +1081,7 @@ fn build_p2p_wu(
                     bucket.bytes,
                     &[issue],
                     "wu.p2p.bcast",
-                    &format!("{prefix}/wu.weights.{}.{from}>{to}", bucket.name),
+                    format_args!("{prefix}/wu.weights.{}.{from}>{to}", bucket.name),
                 );
                 bcur[to] = xfer;
             }
@@ -1092,10 +1132,10 @@ fn build_nccl_wu(
             compute,
             &sys.nccl,
             sel_ar,
-            &format!("{prefix}/wu.ar.{}", bucket.name),
+            format_args!("{prefix}/wu.ar.{}", bucket.name),
         )?;
         let upd = graph
-            .task(format!("{prefix}/wu.update.{}", bucket.name))
+            .task(format_args!("{prefix}/wu.update.{}", bucket.name))
             .on(compute[&gpus[0]])
             .lasting(kmodels[&gpus[0]].elementwise_kernel_time(5 * bucket.bytes))
             .category("wu.update")
@@ -1115,7 +1155,7 @@ fn build_nccl_wu(
             compute,
             &sys.nccl,
             sel_bc,
-            &format!("{prefix}/wu.bc.{}", bucket.name),
+            format_args!("{prefix}/wu.bc.{}", bucket.name),
         )?;
         for (g, &d) in gpus.iter().enumerate() {
             done[g].push(bc[&d]);
@@ -1276,11 +1316,8 @@ mod tests {
         assert_eq!(healthy1.epoch_time, degraded1.epoch_time);
     }
 
-    #[test]
-    fn dag_branches_overlap_with_multiple_streams() {
-        use voltascope_workload::{lower, WorkloadSpec};
-        // Two heavy parallel branches between stem and join. Linear
-        // twin: same layers, deps stripped (the v1 chain).
+    /// Two heavy parallel branches between a stem and a join.
+    fn branchy() -> voltascope_workload::WorkloadSpec {
         let text = "workload v2\nname Branchy\ninput 64 64\n\
                     layer stem conv 0 800000000 1600000000 16384 1048576 4096 0\n\
                     layer left conv 0 900000000 1800000000 1048576 1048576 8192 0\n\
@@ -1290,7 +1327,95 @@ mod tests {
                     layer join concat 0 1000000 2000000 2097152 2097152 4096 0\n\
                     dep join left right\n\
                     end\n";
-        let spec = WorkloadSpec::parse(text).unwrap();
+        voltascope_workload::WorkloadSpec::parse(text).unwrap()
+    }
+
+    /// Asserts that the middle-iteration window of `req`'s graph, run
+    /// under the dynamic events `events` returns, holds exactly the
+    /// graph's `it1/` tasks in `(start, id)` order — the set the
+    /// report's trace and critical chain were once selected by label.
+    fn assert_window_is_it1(
+        req: &EpochRequest<'_>,
+        events: impl FnOnce(&TaskGraph) -> Vec<DynamicEvent>,
+    ) {
+        let epoch = assemble(req).unwrap();
+        let graph = &epoch.graph;
+        let dynamic = events(graph);
+        let schedule = Engine::new().run_with_events(graph, &dynamic).unwrap();
+        let mut it1: Vec<TaskId> = graph
+            .tasks()
+            .map(|(id, _)| id)
+            .filter(|&id| graph.label(id).starts_with("it1/"))
+            .collect();
+        it1.sort_by_key(|&t| (schedule.start_time(t), t));
+        let want: Vec<(TaskId, &str)> = it1.iter().map(|&t| (t, graph.label(t))).collect();
+        let window = schedule.trace(graph, epoch.middle_iteration());
+        let got: Vec<(TaskId, &str)> = window.events().iter().map(|e| (e.task, e.label)).collect();
+        assert!(!got.is_empty());
+        assert_eq!(
+            got, want,
+            "{} on {} GPUs",
+            req.workload.name, req.cfg.gpu_count
+        );
+    }
+
+    #[test]
+    fn the_middle_iteration_window_is_exactly_the_it1_tasks() {
+        use voltascope_workload::lower;
+        let sys = SystemModel::dgx1();
+        let tuner = TunerMemo::new();
+        let request = |workload, cfg| EpochRequest {
+            sys: &sys,
+            workload,
+            cfg,
+            fault: None,
+            tuner: &tuner,
+        };
+        let configs: Vec<TrainConfig> = [CommMethod::P2p, CommMethod::Nccl]
+            .into_iter()
+            .flat_map(|comm| [1, 2, 8].map(|gpus| cfg(16, gpus, comm)))
+            .chain([TrainConfig {
+                bucket_fusion_bytes: 16 << 20,
+                ..cfg(16, 4, CommMethod::Nccl)
+            }])
+            .collect();
+        let models = [zoo::lenet(), zoo::alexnet()].map(|m| lower_model(&m, 16).unwrap());
+        for lowered in &models {
+            for c in &configs {
+                assert_window_is_it1(&request(lowered, c), |_| Vec::new());
+            }
+        }
+        // A DAG workload on two compute streams.
+        let mut two_streams = SystemModel::dgx1();
+        two_streams.compute_streams = 2;
+        let dag = lower(&branchy(), 16).unwrap();
+        let c = cfg(16, 2, CommMethod::Nccl);
+        assert_window_is_it1(
+            &EpochRequest {
+                sys: &two_streams,
+                ..request(&dag, &c)
+            },
+            |_| Vec::new(),
+        );
+        // The transition run of a mid-epoch fault: GPU3's NVLinks die
+        // halfway through the middle iteration.
+        let alexnet = lower_model(&zoo::alexnet(), 16).unwrap();
+        let c = cfg(16, 8, CommMethod::Nccl);
+        let healthy = request(&alexnet, &c);
+        let (_, [t0, t1, t2]) = simulate_with_events(&healthy, |_| Ok(Vec::new())).unwrap();
+        let at = t0 + (t2 - t1) / 2;
+        let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
+        assert_window_is_it1(&healthy, |graph| {
+            crate::dynamic::lower_fault_events(graph, &sys.topo, &spec, at).unwrap()
+        });
+    }
+
+    #[test]
+    fn dag_branches_overlap_with_multiple_streams() {
+        use voltascope_workload::lower;
+        // Two heavy parallel branches between stem and join. Linear
+        // twin: same layers, deps stripped (the v1 chain).
+        let spec = branchy();
         let mut linear = spec.clone();
         for l in &mut linear.layers {
             l.deps = None;

@@ -244,11 +244,11 @@ pub fn simulate_pipeline_epoch(
                     profiles[s - 1].boundary_bytes,
                     &[fp[s - 1][k].expect("built in order")],
                     "pp.act",
-                    &format!("pp.act.mb{k}.s{}>{s}", s - 1),
+                    format_args!("pp.act.mb{k}.s{}>{s}", s - 1),
                 )
             });
             let mut builder = graph
-                .task(format!("pp.fp.mb{k}@s{s}"))
+                .task(format_args!("pp.fp.mb{k}@s{s}"))
                 .on(compute[s])
                 .lasting(fp_dur[s])
                 .category("fp");
@@ -276,11 +276,11 @@ pub fn simulate_pipeline_epoch(
                     profiles[s].boundary_bytes,
                     &[bp[s + 1][k].expect("built in order")],
                     "pp.grad",
-                    &format!("pp.grad.mb{k}.s{}>{s}", s + 1),
+                    format_args!("pp.grad.mb{k}.s{}>{s}", s + 1),
                 )
             });
             let mut builder = graph
-                .task(format!("pp.bp.mb{k}@s{s}"))
+                .task(format_args!("pp.bp.mb{k}@s{s}"))
                 .on(compute[s])
                 .lasting(bp_dur[s])
                 .category("bp")
@@ -305,7 +305,7 @@ pub fn simulate_pipeline_epoch(
     for s in 0..stages {
         updates.push(
             graph
-                .task(format!("pp.update@s{s}"))
+                .task(format_args!("pp.update@s{s}"))
                 .on(compute[s])
                 .lasting(upd_dur[s])
                 .category("wu.update")

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::{Algorithm, CommError, CommMethod, Protocol, TuningSpace};
 use voltascope_dnn::zoo;
+use voltascope_sim::SimError;
 use voltascope_topo::{pcie_only, Device, FaultError, FaultSpec};
 use voltascope_train::{
     DatasetSpec, EpochError, EpochReport, EpochRequest, MidEpochFault, ScalingMode, SystemModel,
@@ -237,6 +238,45 @@ fn hand_built_workloads_that_cannot_lower_to_a_task_graph_are_rejected() {
     );
 }
 
+#[test]
+fn a_fault_cutting_a_gpus_cpu_link_is_a_fault_error() {
+    let sys = SystemModel::dgx1();
+    let workload = lenet(16);
+    let spec = FaultSpec::new().kill_link(Device::gpu(0), Device::cpu(0));
+    for comm in CommMethod::ALL {
+        for at in [0.0, 0.5] {
+            let fault = MidEpochFault::new(spec.clone(), at);
+            let err = run(&sys, &workload, &cfg(16, 2, comm), Some(&fault)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EpochError::Fault(FaultError::CutsUplink { gpu, .. }) if gpu == Device::gpu(0)
+                ),
+                "{comm:?} at {at}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_link_degraded_past_the_clock_is_a_sim_overflow() {
+    let sys = SystemModel::dgx1();
+    let alexnet = lower_model(&zoo::alexnet(), 16).unwrap();
+    let spec = FaultSpec::new().degrade_link(Device::gpu(0), Device::gpu(1), 1e-12);
+    let err = run(
+        &sys.with_faults(&spec),
+        &alexnet,
+        &cfg(16, 2, CommMethod::P2p),
+        None,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, EpochError::Sim(SimError::Overflow { task }) if task.starts_with("it")),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("overflows u64 nanoseconds"));
+}
+
 /// A log-uniform draw below `2^bits` (zero when `bits` is zero).
 fn below_pow2(bits: u32, r: u64) -> u64 {
     match bits {
@@ -257,7 +297,7 @@ fn fault_spec(mask: u8, r: u64) -> FaultSpec {
         spec = spec.kill_nvlinks_of(gpu(16));
     }
     if mask & 4 != 0 {
-        let factor = 0.25 + 0.75 * ((r >> 24) % 4) as f64 / 3.0;
+        let factor = [1e-12, 0.25, 0.5, 0.75, 1.0][((r >> 24) % 5) as usize];
         spec = spec.degrade_link(gpu(32), gpu(40), factor);
     }
     if mask & 8 != 0 {

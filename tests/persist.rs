@@ -63,14 +63,17 @@ fn arb_report(seed: u64) -> Arc<EpochReport> {
             SimSpan::from_nanos(seed.wrapping_mul(31).wrapping_add(k)),
         );
     }
-    let events = (0..(seed % 5))
+    let labels: Vec<String> = (0..(seed % 5))
+        .map(|i| format!("it1/k{seed}.{i}"))
+        .collect();
+    let iter_trace = (0..(seed % 5))
         .map(|i| {
             let start = seed.wrapping_add(17 * i) % 1_000_000;
             TraceEvent {
                 task: TaskId::from_index((seed.wrapping_add(i) % 1024) as usize),
-                label: format!("it1/k{seed}.{i}"),
-                category: ["fp", "wu", "comm"][(i % 3) as usize].to_string(),
-                resource: (i.is_multiple_of(2)).then(|| format!("GPU{}.compute", i % 8)),
+                label: &labels[i as usize],
+                category: ["fp", "wu", "comm"][(i % 3) as usize],
+                resource: (i.is_multiple_of(2)).then_some(GPU_COMPUTE[(i % 8) as usize]),
                 start: SimTime::from_nanos(start),
                 end: SimTime::from_nanos(start + seed % 5_000),
             }
@@ -85,7 +88,7 @@ fn arb_report(seed: u64) -> Arc<EpochReport> {
         api_iter,
         sync_wall_iter: SimSpan::from_nanos(seed / 7),
         compute_utilization: (seed % 1000) as f64 / 997.0,
-        iter_trace: Trace::new(events),
+        iter_trace,
         critical_chain: (0..(seed % 4))
             .map(|i| format!("chain{seed}.{i}"))
             .collect(),
@@ -196,11 +199,23 @@ const START_BOUNDARIES: [u64; 9] = [
 /// width boundaries.
 const DURATIONS: [u64; 6] = [0, 1, 127, 128, 300, 16_384];
 
+/// Compute-stream resource names, per GPU.
+const GPU_COMPUTE: [&str; 8] = [
+    "GPU0.compute",
+    "GPU1.compute",
+    "GPU2.compute",
+    "GPU3.compute",
+    "GPU4.compute",
+    "GPU5.compute",
+    "GPU6.compute",
+    "GPU7.compute",
+];
+
 /// Builds a report whose scalars come from `arb_report` but whose
-/// trace is exactly `events`.
-fn report_with_trace(seed: u64, events: Vec<TraceEvent>) -> Arc<EpochReport> {
+/// trace is exactly `trace`.
+fn report_with_trace(seed: u64, trace: Trace) -> Arc<EpochReport> {
     let mut report = (*arb_report(seed)).clone();
-    report.iter_trace = Trace::new(events);
+    report.iter_trace = trace;
     Arc::new(report)
 }
 
@@ -221,7 +236,7 @@ proptest! {
             0..12
         ),
     ) {
-        let events: Vec<TraceEvent> = specs
+        let events: Trace = specs
             .iter()
             .enumerate()
             .map(|(i, &(b, off, d, lab, res))| {
@@ -229,9 +244,9 @@ proptest! {
                 TraceEvent {
                     task: TaskId::from_index(i),
                     // Small label space forces duplicate interning.
-                    label: format!("kernel{lab}"),
-                    category: ["fp", "wu", "comm"][lab].to_string(),
-                    resource: res.then(|| format!("GPU{lab}.compute")),
+                    label: ["kernel0", "kernel1", "kernel2"][lab],
+                    category: ["fp", "wu", "comm"][lab],
+                    resource: res.then_some(GPU_COMPUTE[lab]),
                     start: SimTime::from_nanos(start),
                     end: SimTime::from_nanos(start.saturating_add(DURATIONS[d])),
                 }
@@ -243,7 +258,7 @@ proptest! {
 
         // Eager decode reproduces the events and re-saves identically.
         let decoded = decode(&bytes, fp).expect("edge-case snapshot must decode");
-        prop_assert_eq!(decoded[0].1.iter_trace.events(), &events[..]);
+        prop_assert_eq!(decoded[0].1.iter_trace.events(), events.events());
         prop_assert_eq!(encode(fp, &decoded), bytes.clone(), "re-save drifted");
 
         // Lazy decode agrees with eager, event for event.
@@ -255,7 +270,7 @@ proptest! {
             "lazy report must not carry decoded events"
         );
         let block = &lazy[0].2;
-        prop_assert_eq!(&block.decode().expect("block decodes")[..], &events[..]);
+        prop_assert_eq!(block.decode().expect("block decodes"), events);
         // Decoding is deterministic.
         prop_assert_eq!(block.decode().unwrap(), block.decode().unwrap());
 

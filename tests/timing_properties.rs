@@ -98,7 +98,7 @@ fn trace_category_inventory_is_complete() {
         let r = report(&h, 16, 4, comm);
         dgx1_repro::sim::check::assert_trace_invariants(&r.iter_trace);
         for e in r.iter_trace.events() {
-            let c = e.category.as_str();
+            let c = e.category;
             let known = c == "fp"
                 || c == "bp"
                 || c == "h2d"
