@@ -8,7 +8,7 @@ use voltascope_dnn::zoo::Workload;
 
 fn main() {
     let service = voltascope_bench::service();
-    let rows = ablation::topology_ablation_service(&service, Workload::AlexNet, 16, 4);
+    let rows = ablation::topology_ablation(&service, Workload::AlexNet, 16, 4);
     voltascope_bench::emit(
         "Ablation: interconnect topology (AlexNet, batch 16, 4 GPUs)",
         &ablation::render(&rows),

@@ -6,7 +6,7 @@ use voltascope::experiments::fig5;
 
 fn main() {
     let service = voltascope_bench::service();
-    let cells = fig5::grid_service(&service, &voltascope_bench::workloads());
+    let cells = fig5::grid(&service, &voltascope_bench::workloads());
     voltascope_bench::emit("Fig. 5: Weak vs strong scaling", &fig5::render(&cells));
     voltascope_bench::save_service(&service);
 }

@@ -4,10 +4,11 @@
 //! request, how many cells were answered from cache versus computed.
 //!
 //! The request stream is fixed and the requests are issued
-//! sequentially (each one claims its missing cells before the next
-//! request runs), so the printed table is deterministic for any
-//! `VOLTASCOPE_THREADS` setting: only the intra-request cell
-//! computations are parallel, never the claim accounting.
+//! sequentially (each one is answered in full before the next request
+//! runs), so the printed table is deterministic for any
+//! `VOLTASCOPE_THREADS` setting: the parallel workers of one request
+//! answer distinct cells, so a cell is either a hit or computed, never
+//! coalesced.
 use voltascope::grid::GridSpec;
 use voltascope::service::GridService;
 use voltascope::Harness;

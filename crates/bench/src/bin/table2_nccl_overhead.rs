@@ -5,7 +5,7 @@ use voltascope::experiments::table2;
 
 fn main() {
     let service = voltascope_bench::service();
-    let rows = table2::rows_service(&service, &voltascope_bench::workloads());
+    let rows = table2::rows(&service, &voltascope_bench::workloads());
     voltascope_bench::emit(
         "Table II: NCCL overhead vs P2P, single GPU",
         &table2::render(&rows),

@@ -5,7 +5,7 @@ use voltascope::experiments::table3;
 
 fn main() {
     let service = voltascope_bench::service();
-    let rows = table3::rows_service(&service);
+    let rows = table3::rows(&service);
     voltascope_bench::emit(
         "Table III: cudaStreamSynchronize share, LeNet",
         &table3::render(&rows),

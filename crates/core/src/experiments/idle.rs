@@ -4,13 +4,11 @@
 
 use std::sync::Arc;
 
-use voltascope_comm::CommMethod;
 use voltascope_profile::TextTable;
 use voltascope_sim::SimSpan;
 use voltascope_train::EpochReport;
 
-use crate::grid::{epoch_reports, Cell, Executor, GridOut, GridSpec};
-use crate::harness::Harness;
+use crate::grid::{Cell, GridOut, GridSpec};
 use crate::service::GridService;
 
 /// One GPU's activity within a steady-state iteration.
@@ -26,25 +24,14 @@ pub struct IdleRow {
     pub idle_percent: f64,
 }
 
-/// Computes the per-GPU idle table for every cell of `spec`, honouring
-/// the `VOLTASCOPE_THREADS` executor override. The result is indexable
-/// by [`crate::grid::Cell`], so callers can print sections in any
-/// order regardless of enumeration order.
-pub fn grid(h: &Harness, spec: &GridSpec) -> GridOut<Vec<IdleRow>> {
-    grid_with(h, spec, Executor::from_env())
-}
-
-/// Computes the per-GPU idle grid under an explicit executor.
-pub fn grid_with(h: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<Vec<IdleRow>> {
-    rows_from(epoch_reports(h, spec, exec))
-}
-
-/// Computes the per-GPU idle grid through a caching sweep service.
-/// Idle scans walk the iteration traces, so this issues a *traced*
-/// sweep: entries loaded lazily from a snapshot (whose reports carry
-/// no decoded trace) have their trace blocks decoded rather than being
-/// silently scanned as 100% idle.
-pub fn grid_service(service: &GridService, spec: &GridSpec) -> GridOut<Vec<IdleRow>> {
+/// Computes the per-GPU idle table for every cell of `spec` through a
+/// caching sweep service. The result is indexable by
+/// [`crate::grid::Cell`], so callers can print sections in any order
+/// regardless of enumeration order. Idle scans walk the iteration
+/// traces, so this issues a *traced* sweep: entries loaded lazily from
+/// a snapshot (whose reports carry no decoded trace) have their trace
+/// blocks decoded rather than being silently scanned as 100% idle.
+pub fn grid(service: &GridService, spec: &GridSpec) -> GridOut<Vec<IdleRow>> {
     rows_from(service.sweep_traced(spec))
 }
 
@@ -68,28 +55,6 @@ fn idle_rows(c: &Cell, report: &EpochReport) -> Vec<IdleRow> {
         .collect()
 }
 
-/// Measures per-GPU compute idle time for one configuration. Accepts
-/// a zoo workload or any [`crate::workloads::WorkloadSel`].
-pub fn per_gpu_idle(
-    h: &Harness,
-    workload: impl Into<crate::workloads::WorkloadSel>,
-    batch: usize,
-    gpus: usize,
-    comm: CommMethod,
-) -> Vec<IdleRow> {
-    let workload = workload.into();
-    let spec = GridSpec::paper()
-        .workloads([workload])
-        .comms([comm])
-        .batches([batch])
-        .gpu_counts([gpus]);
-    grid_with(h, &spec, Executor::Serial)
-        .into_pairs()
-        .next()
-        .expect("one-cell grid")
-        .1
-}
-
 /// Renders the idle table.
 pub fn render(rows: &[IdleRow]) -> TextTable {
     let mut table = TextTable::new(["GPU", "Busy/iter", "Idle/iter", "Idle (%)"]);
@@ -107,12 +72,30 @@ pub fn render(rows: &[IdleRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Executor;
+    use crate::Harness;
+    use voltascope_comm::CommMethod;
     use voltascope_dnn::zoo::Workload;
+
+    /// The idle rows of one configuration, swept through a fresh serial
+    /// service.
+    fn rows_of(workload: Workload, batch: usize, gpus: usize, comm: CommMethod) -> Vec<IdleRow> {
+        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
+        let spec = GridSpec::paper()
+            .workloads([workload])
+            .comms([comm])
+            .batches([batch])
+            .gpu_counts([gpus]);
+        grid(&service, &spec)
+            .into_pairs()
+            .next()
+            .expect("one-cell grid")
+            .1
+    }
 
     #[test]
     fn all_gpus_report_and_sum_to_iteration() {
-        let h = Harness::paper();
-        let rows = per_gpu_idle(&h, Workload::LeNet, 16, 4, CommMethod::P2p);
+        let rows = rows_of(Workload::LeNet, 16, 4, CommMethod::P2p);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.idle_percent >= 0.0 && r.idle_percent <= 100.0);
@@ -124,8 +107,7 @@ mod tests {
     fn parameter_server_gpu_is_busiest() {
         // GPU0 runs the update kernels on top of FP/BP, so it idles
         // least under P2P (the others wait on it, §V-A).
-        let h = Harness::paper();
-        let rows = per_gpu_idle(&h, Workload::AlexNet, 16, 4, CommMethod::P2p);
+        let rows = rows_of(Workload::AlexNet, 16, 4, CommMethod::P2p);
         let gpu0_idle = rows[0].idle_percent;
         let max_other = rows[1..]
             .iter()
@@ -139,33 +121,15 @@ mod tests {
 
     #[test]
     fn multi_gpu_idling_exceeds_single_gpu() {
-        let h = Harness::paper();
-        let one = per_gpu_idle(&h, Workload::LeNet, 16, 1, CommMethod::P2p);
-        let eight = per_gpu_idle(&h, Workload::LeNet, 16, 8, CommMethod::P2p);
+        let one = rows_of(Workload::LeNet, 16, 1, CommMethod::P2p);
+        let eight = rows_of(Workload::LeNet, 16, 8, CommMethod::P2p);
         let mean8: f64 = eight.iter().map(|r| r.idle_percent).sum::<f64>() / eight.len() as f64;
         assert!(mean8 > one[0].idle_percent);
     }
 
     #[test]
-    fn grid_matches_single_cell_entry_point() {
-        let h = Harness::paper();
-        let spec = GridSpec::paper()
-            .workloads([Workload::AlexNet])
-            .batches([16])
-            .gpu_counts([4, 8]);
-        let out = grid_with(&h, &spec, Executor::Serial);
-        assert_eq!(out.len(), 4); // 2 comms x 2 gpu counts
-        for (cell, rows) in out.iter() {
-            assert_eq!(rows.len(), cell.gpus);
-            let single = per_gpu_idle(&h, cell.workload, cell.batch, cell.gpus, cell.comm);
-            assert_eq!(render(rows).render(), render(&single).render());
-        }
-    }
-
-    #[test]
     fn renders() {
-        let h = Harness::paper();
-        let rows = per_gpu_idle(&h, Workload::LeNet, 16, 2, CommMethod::Nccl);
+        let rows = rows_of(Workload::LeNet, 16, 2, CommMethod::Nccl);
         assert_eq!(render(&rows).len(), 2);
     }
 }

@@ -22,9 +22,13 @@
 //! * [`GridRunner`] — pre-builds each workload's [`Model`] once per
 //!   grid (shared via `Arc` across worker threads) and each platform
 //!   variant's [`Harness`] once, then maps a cell function over the
-//!   enumeration. Cells simulated through [`CellCtx::report`] share
-//!   the runner's NCCL tuner memo, so each distinct tuning decision is
-//!   simulated once per grid.
+//!   enumeration. It serves grids that read models, memory or
+//!   lowerings (Table IV, the max-batch search).
+//! * [`cell_report`] — one cell's [`EpochReport`]. Every epoch-report
+//!   sweep (Figs. 3–5, Tables II–III, the fault, idle and ablation
+//!   grids) goes through [`crate::service::GridService`], which
+//!   computes each cell it answers through this function with its
+//!   own NCCL tuner memo.
 //!
 //! ## Determinism
 //!
@@ -63,11 +67,14 @@ mod spec;
 pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
 pub(crate) use runner::cell_report_with;
-pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};
+pub use runner::{cell_report, harness_for, run_grid, CellCtx, GridOut, GridRunner};
 pub use spec::{GridSpec, PAPER_BATCHES, PAPER_GPU_COUNTS};
 
 #[allow(unused_imports)] // rustdoc links
 use voltascope_dnn::Model;
+
+#[allow(unused_imports)] // rustdoc links
+use voltascope_train::EpochReport;
 
 #[allow(unused_imports)] // rustdoc links
 use crate::Harness;

@@ -17,8 +17,8 @@ use crate::workloads::WorkloadSel;
 use crate::Harness;
 
 /// Everything a cell function needs, resolved once per grid rather
-/// than once per cell: the platform-adjusted harness, the resolved
-/// workload definition and the grid's tuner memo.
+/// than once per cell: the platform-adjusted harness and the resolved
+/// workload definition.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx<'r> {
     /// The grid point being evaluated.
@@ -28,16 +28,9 @@ pub struct CellCtx<'r> {
     /// The cell's workload definition, resolved once per grid and
     /// shared.
     pub def: &'r Definition,
-    tuner: &'r TunerMemo,
 }
 
 impl<'r> CellCtx<'r> {
-    /// The cell's [`EpochReport`] ([`cell_report`]), with NCCL tuning
-    /// decisions shared across the grid's cells.
-    pub fn report(&self) -> EpochReport {
-        cell_report_with(self.harness, self.def, &self.cell, self.tuner)
-    }
-
     /// The cell's built [`Model`], for experiments that inspect graph
     /// structure or memory (data-only workloads have no model).
     ///
@@ -59,20 +52,19 @@ impl<'r> CellCtx<'r> {
 /// [`Definition`] resolved exactly once (building the zoo model and/or
 /// attaching the parsed spec), and one [`Harness`] per (platform,
 /// fault scenario) combination, all behind `Arc` so parallel workers
-/// share them without copying, plus one [`TunerMemo`] that
-/// [`CellCtx::report`] prices every cell's NCCL tuning decisions
-/// through.
+/// share them without copying. Epoch-report sweeps go through
+/// [`crate::service::GridService`]; the runner serves grids that read
+/// models, memory or lowerings instead.
 #[derive(Debug)]
 pub struct GridRunner {
     defs: HashMap<WorkloadSel, Arc<Definition>>,
     harnesses: HashMap<(Platform, FaultScenario), Arc<Harness>>,
-    tuner: TunerMemo,
 }
 
 impl GridRunner {
     /// Builds the shared context for `spec`: one definition per
-    /// workload on the axis, one harness per (platform, fault) pair on
-    /// the axes, and an empty tuner memo.
+    /// workload on the axis and one harness per (platform, fault) pair
+    /// on the axes.
     pub fn new(base: &Harness, spec: &GridSpec) -> Self {
         let defs = spec
             .workload_axis()
@@ -85,11 +77,7 @@ impl GridRunner {
                 harnesses.insert((p, f), Arc::new(harness_for(base, p, f)));
             }
         }
-        GridRunner {
-            defs,
-            harnesses,
-            tuner: TunerMemo::new(),
-        }
+        GridRunner { defs, harnesses }
     }
 
     /// Maps `f` over every cell of `spec` under `exec`, returning the
@@ -118,7 +106,6 @@ impl GridRunner {
                     .defs
                     .get(&cell.workload)
                     .expect("runner built for this workload axis"),
-                tuner: &self.tuner,
             };
             f(ctx)
         });
@@ -160,12 +147,12 @@ pub fn harness_for(base: &Harness, platform: Platform, fault: FaultScenario) -> 
 /// scenarios run the ordinary epoch against the (already degraded)
 /// harness; mid-epoch scenarios run the piecewise epoch against the
 /// healthy harness, with the fault striking at
-/// [`FaultScenario::mid_epoch_fraction`]. Both the direct grid path
-/// ([`epoch_reports`]) and the caching service route every cell
-/// through here, so the two stay interchangeable.
+/// [`FaultScenario::mid_epoch_fraction`]. The caching service
+/// computes every cell it answers through here, so a fresh call per
+/// cell is the reference its sweeps are checked against.
 ///
-/// Tuning decisions go through a call-local memo; sweeps share one
-/// across cells ([`CellCtx::report`]).
+/// Tuning decisions go through a call-local memo; the service shares
+/// one across every cell it computes.
 ///
 /// # Panics
 ///
@@ -175,9 +162,9 @@ pub fn cell_report(harness: &Harness, def: &Definition, cell: &Cell) -> EpochRep
     cell_report_with(harness, def, cell, &TunerMemo::new())
 }
 
-/// [`cell_report`] with its NCCL tuning decisions priced through a
-/// sweep owner's `tuner`. The report does not depend on what the memo
-/// already holds. Panics as [`cell_report`] does.
+/// [`cell_report`] with its NCCL tuning decisions priced through the
+/// sweep service's `tuner`. The report does not depend on what the
+/// memo already holds. Panics as [`cell_report`] does.
 pub(crate) fn cell_report_with(
     harness: &Harness,
     def: &Definition,
@@ -202,21 +189,14 @@ pub(crate) fn cell_report_with(
 }
 
 /// Runs one grid end to end: build the shared context, execute, return
-/// indexed results. The common entry point for experiment modules.
+/// indexed results. The entry point for experiments whose grids are
+/// not epoch-report sweeps (Table IV, the max-batch search).
 pub fn run_grid<T, F>(base: &Harness, spec: &GridSpec, exec: Executor, f: F) -> GridOut<T>
 where
     T: Send,
     F: Fn(CellCtx<'_>) -> T + Sync,
 {
     GridRunner::new(base, spec).run(exec, spec, f)
-}
-
-/// Simulates the raw [`EpochReport`] of every cell of `spec` — the
-/// direct-path twin of [`crate::service::GridService::sweep`]. Both
-/// produce the same `GridOut<Arc<EpochReport>>` shape, so experiment
-/// row derivations are agnostic about which path computed their cells.
-pub fn epoch_reports(base: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<Arc<EpochReport>> {
-    run_grid(base, spec, exec, |ctx| Arc::new(ctx.report()))
 }
 
 /// The results of one grid run: values in cell-enumeration order plus

@@ -12,6 +12,7 @@ use voltascope_train::{
 use voltascope_workload::lower_model;
 
 use crate::calibration;
+use crate::grid::{Cell, FaultScenario, Platform};
 
 /// A measurement: mean and standard deviation over the repetitions of
 /// the paper's protocol (5 runs per configuration, Fig. 3).
@@ -129,11 +130,16 @@ impl Harness {
         scaling: ScalingMode,
     ) -> Measurement {
         let report = self.epoch(model, batch, gpus, comm, scaling);
-        let salt = ((workload as u64) << 40)
-            | ((batch as u64) << 24)
-            | ((gpus as u64) << 16)
-            | (comm == CommMethod::Nccl) as u64;
-        self.measure(report.epoch_time.as_secs_f64(), salt)
+        let cell = Cell {
+            workload: workload.into(),
+            comm,
+            batch,
+            gpus,
+            scaling,
+            platform: Platform::Dgx1,
+            fault: FaultScenario::Healthy,
+        };
+        self.measure(report.epoch_time.as_secs_f64(), cell.jitter_salt())
     }
 }
 
@@ -175,6 +181,28 @@ mod tests {
         let m = h.measure(100.0, 7);
         assert!((m.mean_s - 100.0).abs() < 5.0);
         assert!(m.stddev_s < 6.0);
+    }
+
+    #[test]
+    fn training_time_matches_the_fig3_row_of_its_cell() {
+        use crate::experiments::fig3;
+        use crate::grid::Executor;
+        use crate::service::GridService;
+
+        let h = Harness::paper();
+        let service = GridService::with_executor(h.clone(), Executor::Serial);
+        let rows = fig3::grid(&service, &[Workload::LeNet]);
+        assert_eq!(rows.len(), 24);
+        for row in &rows {
+            let m = h.training_time(
+                Workload::LeNet,
+                row.batch,
+                row.gpus,
+                row.comm,
+                ScalingMode::Strong,
+            );
+            assert_eq!(m, row.time, "{:?} b{} g{}", row.comm, row.batch, row.gpus);
+        }
     }
 
     #[test]

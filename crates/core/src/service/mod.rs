@@ -2,18 +2,20 @@
 //!
 //! [`GridService`] is a concurrent request front end for the grid
 //! engine: callers submit sweeps (a [`GridSpec`] or an explicit
-//! [`Cell`] list) and the service answers every cell it has already
-//! computed from a shared cache, coalesces cells another request is
-//! currently computing (single-flight), and schedules only the
-//! genuinely missing cells onto its [`Executor`] worker pool.
+//! [`Cell`] list) and the service answers each distinct cell of the
+//! request on its [`Executor`] worker pool: from a shared cache when
+//! it has already computed the cell, by waiting when another request
+//! is computing it right now (single-flight), and by computing it
+//! otherwise. Every report experiment (Figs. 3–5, Tables II–III, the
+//! fault, idle and ablation grids) sweeps through a service.
 //!
 //! The cached value per cell is the [`EpochReport`] — the raw,
 //! jitter-free simulation output every portable experiment derives its
 //! rows from. Post-processing (the repetition protocol's jittered
 //! [`crate::Measurement`], FP+BP/WU splits, sync shares, idle scans)
 //! is cheap and deterministic, so experiment modules re-derive their
-//! tables from cached reports and stay byte-identical to the direct
-//! [`crate::grid::GridRunner`] path.
+//! tables from cached reports, byte-identical to what a fresh
+//! [`grid::cell_report`] per cell yields.
 //!
 //! ## Cache keying
 //!
@@ -25,36 +27,48 @@
 //! memory bound, and eviction would reintroduce recomputation
 //! nondeterminism for long request streams.
 //!
+//! ## One cell path
+//!
+//! Both front ends answer a cell the same way: the blocking
+//! [`GridService::run_cells`] dedupes its request in first-occurrence
+//! order and runs the per-cell answer for each distinct cell on the
+//! executor, and the [`sched`] workers run it for each queued item.
+//! The answer serves a completed entry (a *hit*), waits on another
+//! thread's in-flight claim (*coalesced*), or claims and computes the
+//! cell; duplicates within one request are charged to the class their
+//! first occurrence was answered as, a freshly computed cell's
+//! duplicates as intra-request *repeats*.
+//!
 //! ## Single-flight
 //!
 //! A cell is claimed (marked in-flight) under the state lock before
 //! computation starts, so overlapping requests for the same cell
 //! compute it exactly once: the first request computes, later requests
 //! park on a condition variable and are woken when the report is
-//! published.
+//! published. A thread holds at most one claim, and never while it
+//! waits on another, so waits cannot form a cycle.
 //!
 //! ## Panic recovery
 //!
 //! Cell computations are pure simulations and do not panic for valid
 //! cells, but an invalid cell (e.g. a GPU count beyond the topology)
 //! panics inside the simulator. Every claim is therefore protected by
-//! an unwind guard: if the computing request panics before publishing,
-//! the guard reverts all of its unfinished in-flight claims to
-//! *absent* and wakes every waiter. A request that was parked on such
-//! a claim adopts the cell and computes it itself (and, for a
-//! genuinely poisonous cell, observes the same panic rather than a
-//! deadlock). The state lock is never held across a computation, and
-//! lock acquisition recovers from mutex poisoning — the cache's
-//! invariants are maintained by the guards, not by the panicking
-//! section — so one failed request can never wedge the service.
+//! an unwind guard: if the computation panics before publishing, the
+//! guard reverts the claim to *absent* and wakes every waiter. A
+//! waiter that finds the cell absent claims and computes it itself
+//! (and, for a genuinely poisonous cell, observes the same panic
+//! rather than a deadlock). The state lock is never held across a
+//! computation, and lock acquisition recovers from mutex poisoning —
+//! the cache's invariants are maintained by the guards, not by the
+//! panicking section — so one failed request can never wedge the
+//! service.
 //!
 //! ## Tuner memo
 //!
 //! The service owns one [`TunerMemo`] for its whole lifetime, and
-//! every cell it computes — through [`GridService::run_cells`], the
-//! assemble loop's adoptions, or the async scheduler's workers —
-//! prices its NCCL tuning decisions through it, so under a modern
-//! tuning space each distinct decision is simulated once per service.
+//! every cell it computes — whichever front end asked — prices its
+//! NCCL tuning decisions through it, so under a modern tuning space
+//! each distinct decision is simulated once per service.
 //! The memo lives on the service, not on the [`Harness`]: the harness
 //! is hashed into snapshot fingerprints and cloned into fresh
 //! services. [`GridService::tuner_stats`] reports its counters.
@@ -91,9 +105,9 @@
 //! service: requests become tickets on a bounded queue drained by a
 //! worker pool, with strict-priority bands, deficit-round-robin
 //! fairness across clients, cancellation, deadlines and backpressure.
-//! Reports flow through the same cache, so the two paths are
-//! byte-identical (`tests/sched.rs` pins the paper goldens through
-//! it).
+//! Its workers answer cells through the same per-cell path and cache,
+//! so the two front ends are byte-identical (`tests/sched.rs` pins the
+//! paper goldens through it).
 //!
 //! ## Example
 //!
@@ -115,7 +129,8 @@
 pub mod persist;
 pub mod sched;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,10 +162,11 @@ enum Slot {
     },
 }
 
-/// How [`GridService::cell_report`] answered one cell, for the
-/// scheduler's duplicate accounting: duplicates of a cell inherit the
-/// first occurrence's class (`Computed` duplicates are intra-request
-/// repeats, `Hit`/`Coalesced` duplicates are more of the same).
+/// How [`GridService::cell_report`] answered one cell, for duplicate
+/// accounting ([`GridService::charge_duplicates`]): duplicates of a
+/// cell inherit the first occurrence's class (`Computed` duplicates
+/// are intra-request repeats, `Hit`/`Coalesced` duplicates are more of
+/// the same).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CellClass {
     /// Served from a completed cache entry.
@@ -257,40 +273,52 @@ pub struct GridService {
     trace_decodes: AtomicU64,
 }
 
-/// Unwind guard over a request's claimed cells: on drop, any cell the
-/// request claimed but never published is reverted to absent and every
-/// waiter is woken, so a panicking computation cannot leave permanent
-/// in-flight claims behind. On the normal path all claimed cells are
-/// `Done` by drop time and the guard is a cheap no-op sweep.
+/// Unwind guard over one claimed cell: on drop, a claim that was
+/// never published is reverted to absent and every waiter is woken, so
+/// a panicking computation cannot leave a permanent in-flight claim
+/// behind. On the normal path the cell is `Done` by drop time and the
+/// guard only checks the slot.
 ///
 /// The guard takes the state lock in `drop`, so it must never be
 /// dropped while the caller holds that lock.
 struct ClaimGuard<'a> {
     service: &'a GridService,
-    cells: Vec<Cell>,
+    cell: Cell,
 }
 
 impl Drop for ClaimGuard<'_> {
     fn drop(&mut self) {
-        if self.cells.is_empty() {
-            return;
-        }
-        let mut reverted = false;
-        {
+        let reverted = {
             let mut state = self.service.lock_state();
-            for cell in &self.cells {
-                if matches!(state.cache.get(cell), Some(Slot::InFlight)) {
-                    state.cache.remove(cell);
-                    reverted = true;
-                }
+            let in_flight = matches!(state.cache.get(&self.cell), Some(Slot::InFlight));
+            if in_flight {
+                state.cache.remove(&self.cell);
             }
-        }
+            in_flight
+        };
         if reverted {
-            // Waiters re-inspect the slot: absent means "adopt and
-            // compute yourself" (see the assemble loop).
+            // Waiters re-inspect the slot: absent means "claim and
+            // compute yourself" (see `cell_report`).
             self.service.ready.notify_all();
         }
     }
+}
+
+/// The distinct cells of one request in first-occurrence order, each
+/// with the number of further times the request names it.
+pub(crate) fn distinct_cells(cells: &[Cell]) -> Vec<(Cell, u64)> {
+    let mut position: HashMap<Cell, usize> = HashMap::with_capacity(cells.len());
+    let mut distinct: Vec<(Cell, u64)> = Vec::with_capacity(cells.len());
+    for &cell in cells {
+        match position.entry(cell) {
+            Entry::Occupied(at) => distinct[*at.get()].1 += 1,
+            Entry::Vacant(slot) => {
+                slot.insert(distinct.len());
+                distinct.push((cell, 0));
+            }
+        }
+    }
+    distinct
 }
 
 impl GridService {
@@ -394,9 +422,7 @@ impl GridService {
     }
 
     /// Runs a full declarative sweep through the cache, returning an
-    /// indexed [`GridOut`] in the spec's canonical enumeration order —
-    /// the same shape [`crate::grid::run_grid`] produces, so renderers
-    /// are agnostic about which path computed their cells.
+    /// indexed [`GridOut`] in the spec's canonical enumeration order.
     pub fn sweep(&self, spec: &GridSpec) -> GridOut<Arc<EpochReport>> {
         let cells = spec.cells();
         let reports = self.run_cells(&cells);
@@ -415,10 +441,11 @@ impl GridService {
         GridOut::from_parts(cells, reports)
     }
 
-    /// Answers one request for an explicit cell list: cache hits are
-    /// returned as-is, in-flight cells are awaited, and missing cells
-    /// are claimed and computed on this service's executor. Returns one
-    /// report per input cell, in input order (duplicates allowed).
+    /// Answers one request for an explicit cell list: each distinct
+    /// cell is answered on this service's executor — cache hits as-is,
+    /// in-flight cells awaited, missing cells claimed and computed.
+    /// Returns one report per input cell, in input order (duplicates
+    /// allowed, sharing their first occurrence's report).
     ///
     /// Entries loaded from a snapshot are served as ordinary hits
     /// without decoding their traces — their scalar fields are exact,
@@ -441,126 +468,32 @@ impl GridService {
     pub fn run_cells_traced(&self, cells: &[Cell], traced: bool) -> Vec<Arc<EpochReport>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(cells.len() as u64, Ordering::Relaxed);
-
-        // Claim phase: classify every cell under one lock acquisition.
-        // Missing cells are marked in flight *before* the lock drops,
-        // so no concurrent request can double-compute them. Duplicates
-        // of a cell claimed earlier in this same request are neither
-        // hits nor coalesced — the request pays for the computation —
-        // so they are tracked as `repeats`.
-        let mine: Vec<(Cell, Arc<Definition>, Arc<Harness>)> = {
-            let mut state = self.lock_state();
-            let mut mine = Vec::new();
-            let mut claimed_here: HashSet<Cell> = HashSet::new();
-            for &cell in cells {
-                if claimed_here.contains(&cell) {
-                    self.repeats.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // A traced request touching a lazy entry decodes its
-                // block right here, under the same lock hold,
-                // upgrading the slot to `Done`; a block that fails to
-                // decode falls through and is reclaimed like a
-                // missing cell.
-                if traced
-                    && matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. }))
-                    && self.upgrade_lazy(&mut state, cell).is_some()
-                {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                match state.cache.get(&cell) {
-                    Some(Slot::Done(_)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(Slot::DoneLazy { .. }) if !traced => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(Slot::InFlight) => {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // An undecodable lazy entry cannot serve a traced
-                    // request: reclaim it and recompute the full
-                    // report.
-                    Some(Slot::DoneLazy { .. }) | None => {
-                        state.cache.insert(cell, Slot::InFlight);
-                        claimed_here.insert(cell);
-                        let (def, harness) = Self::pools(&mut state, &self.base, cell);
-                        mine.push((cell, def, harness));
-                    }
-                }
-            }
-            mine
-        };
-
-        // Every claim is covered by the unwind guard from here on: a
-        // panic anywhere below reverts the unpublished claims and
-        // wakes waiters before the panic continues unwinding.
-        let claims = ClaimGuard {
-            service: self,
-            cells: mine.iter().map(|(cell, _, _)| *cell).collect(),
-        };
-
-        // Compute phase: only the cells this request claimed, on the
-        // worker pool. Each report is published (and waiters notified)
-        // as soon as it exists, not at the end of the batch, so
-        // overlapping requests stream results out of this one.
-        self.exec.run(mine.len(), |i| {
-            let (cell, def, harness) = &mine[i];
-            self.compute_and_publish(*cell, def, harness);
+        let distinct = distinct_cells(cells);
+        // Each report is published (and waiters notified) as soon as
+        // it exists, not at the end of the request, so overlapping
+        // requests stream results out of this one.
+        let reports = self.exec.run(distinct.len(), |i| {
+            let (cell, dups) = distinct[i];
+            let (report, class) = self.cell_report(cell, traced);
+            self.charge_duplicates(class, dups);
+            report
         });
-        // Normal path: everything we claimed is published, so the
-        // guard's sweep finds nothing to revert. Dropped here, before
-        // the assemble lock, because the guard locks the state itself.
-        drop(claims);
-
-        // Assemble phase: by now every cell this request claimed is
-        // done; cells claimed by other requests may still be in
-        // flight, so park on the condition variable until they
-        // publish. An *absent* cell here means its claimant panicked
-        // and the claim was reverted — adopt it and compute inline.
-        let mut state = self.lock_state();
-        let mut reports = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let report = loop {
-                match state.cache.get(cell) {
-                    Some(Slot::Done(report)) => break report.clone(),
-                    // Only reachable when `!traced` (a traced request
-                    // upgraded or reclaimed every lazy entry in its
-                    // claim phase, and computations always publish
-                    // full reports).
-                    Some(Slot::DoneLazy { report, .. }) => break report.clone(),
-                    Some(Slot::InFlight) => {
-                        state = self
-                            .ready
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    // The claimant panicked and reverted its claim:
-                    // adopt the cell and compute it here. A genuinely
-                    // poisonous cell panics again, and the adoption's
-                    // guard reverts this claim too before the panic
-                    // reaches this request's caller.
-                    None => {
-                        let report = self.claim_and_compute(state, *cell);
-                        state = self.lock_state();
-                        break report;
-                    }
-                }
-            };
-            reports.push(report);
-        }
-        reports
+        let by_cell: HashMap<Cell, Arc<EpochReport>> = distinct
+            .iter()
+            .map(|&(cell, _)| cell)
+            .zip(reports)
+            .collect();
+        cells.iter().map(|cell| by_cell[cell].clone()).collect()
     }
 
-    /// Answers a single cell for the async scheduler's workers:
-    /// claim-or-wait-or-hit with the same single-flight, panic-revert
-    /// and lazy-decode semantics as [`GridService::run_cells_traced`],
-    /// but for exactly one cell and reporting *how* it was answered so
-    /// the scheduler can account duplicates by class. Does **not** bump
-    /// the request/cell counters — the scheduler does that at submit
-    /// time, keeping sequential async streams stat-identical to the
-    /// blocking path.
+    /// Answers one cell — the one cell path of both front ends:
+    /// serves a completed entry (decoding a lazy trace block first
+    /// when `traced`), waits on a computation another thread has in
+    /// flight, or claims and computes the cell, and reports *how* it
+    /// answered so the caller can charge the cell's duplicates
+    /// ([`GridService::charge_duplicates`]). Counts the cell itself in
+    /// `hits`, `coalesced` or `computed`, but leaves the request and
+    /// cell counters to the caller, which counts each request once.
     ///
     /// # Panics
     ///
@@ -600,9 +533,7 @@ impl GridService {
             };
             drop(state);
             // A wait that resolved to a published report was coalesced
-            // onto another thread's computation — the same class the
-            // blocking claim phase assigns when it observes InFlight
-            // under its single lock hold.
+            // onto another thread's computation.
             return if waited {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
                 (report, CellClass::Coalesced)
@@ -613,33 +544,34 @@ impl GridService {
         }
     }
 
+    /// Charges `dups` further occurrences of a cell within one request
+    /// to the class its first occurrence was answered as: duplicates of
+    /// a hit or a coalesced wait are more of the same, duplicates of a
+    /// freshly computed cell are intra-request `repeats` (the request
+    /// paid for the computation itself).
+    pub(crate) fn charge_duplicates(&self, class: CellClass, dups: u64) {
+        let counter = match class {
+            CellClass::Hit => &self.hits,
+            CellClass::Coalesced => &self.coalesced,
+            CellClass::Computed => &self.repeats,
+        };
+        counter.fetch_add(dups, Ordering::Relaxed);
+    }
+
     /// Claims the absent `cell` under the held state lock, then
-    /// computes and publishes it with the lock released, under a
-    /// one-cell [`ClaimGuard`]: if the simulation panics, the guard
-    /// reverts the claim and wakes waiters before the unwind reaches
-    /// the caller.
+    /// computes it with the lock released, publishes the report as
+    /// `Done` and wakes every waiter. A one-cell [`ClaimGuard`] covers
+    /// the claim: if the simulation panics, the guard reverts it and
+    /// wakes waiters before the unwind reaches the caller.
     fn claim_and_compute(&self, mut state: MutexGuard<'_, State>, cell: Cell) -> Arc<EpochReport> {
         state.cache.insert(cell, Slot::InFlight);
         let (def, harness) = Self::pools(&mut state, &self.base, cell);
         drop(state);
         let _claim = ClaimGuard {
             service: self,
-            cells: vec![cell],
+            cell,
         };
-        self.compute_and_publish(cell, &def, &harness)
-    }
-
-    /// Computes one cell the caller has claimed, with the state lock
-    /// *not* held, then publishes the report as `Done` and wakes every
-    /// waiter. The one compute path of the service: the caller's
-    /// [`ClaimGuard`] covers the claim in case the simulation panics.
-    fn compute_and_publish(
-        &self,
-        cell: Cell,
-        def: &Definition,
-        harness: &Harness,
-    ) -> Arc<EpochReport> {
-        let report = Arc::new(grid::cell_report_with(harness, def, &cell, &self.tuner));
+        let report = Arc::new(grid::cell_report_with(&harness, &def, &cell, &self.tuner));
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.lock_state()
             .cache
@@ -797,6 +729,27 @@ mod tests {
     }
 
     #[test]
+    fn parallel_duplicates_are_charged_to_their_first_occurrence() {
+        let service =
+            GridService::with_executor(Harness::paper(), Executor::Parallel { threads: 4 });
+        let (a, w, b) = (lenet_cell(16, 1), lenet_cell(16, 2), lenet_cell(32, 1));
+        service.run_cells(&[w]);
+        let before = service.stats();
+        let reports = service.run_cells(&[a, a, w, b, w]);
+        let after = service.stats();
+        assert_eq!(after.computed - before.computed, 2, "a and b");
+        assert_eq!(after.repeats - before.repeats, 1, "the second a");
+        assert_eq!(after.hits - before.hits, 2, "both warm w");
+        assert_eq!(after.coalesced, 0);
+        // One shared Arc per distinct cell: the cached entry itself.
+        let cached = service.run_cells(&[a, w, b]);
+        for (i, want) in [0, 0, 1, 2, 1].into_iter().enumerate() {
+            assert!(Arc::ptr_eq(&reports[i], &cached[want]), "position {i}");
+        }
+        assert!(!Arc::ptr_eq(&cached[0], &cached[2]));
+    }
+
+    #[test]
     fn warm_duplicates_count_as_hits() {
         let service = GridService::with_executor(Harness::paper(), Executor::Serial);
         let cell = lenet_cell(16, 1);
@@ -875,9 +828,10 @@ mod tests {
 
     #[test]
     fn panic_midway_through_a_request_spares_completed_cells() {
-        // The serial executor computes `mine` in claim order: the
-        // healthy cell publishes before the poisonous one panics. Its
-        // report must survive the unwind; the failed claim must not.
+        // The serial executor answers the distinct cells in request
+        // order: the healthy cell publishes before the poisonous one
+        // panics. Its report must survive the unwind; the failed claim
+        // must not.
         let service = GridService::with_executor(Harness::paper(), Executor::Serial);
         let good = lenet_cell(16, 1);
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -893,8 +847,8 @@ mod tests {
 
     #[test]
     fn concurrent_requests_for_a_panicking_cell_never_deadlock() {
-        // Whatever the interleaving — the second request coalesces
-        // onto the first's claim and adopts it after the revert, or
+        // Whatever the interleaving — the second request waits on the
+        // first's claim and claims the cell itself after the revert, or
         // claims fresh after the revert — both observe the panic and
         // nothing is left in flight.
         let service = Arc::new(GridService::with_executor(

@@ -7,8 +7,8 @@
 //! pool of worker threads drains the cells through the service's
 //! single-flight cache. Reports delivered by a ticket are the same
 //! `Arc`s the blocking [`GridService::run_cells`] path returns —
-//! byte-identical, because both paths share one cache and one
-//! simulator.
+//! byte-identical, because both paths answer each cell through one
+//! per-cell path over one cache.
 //!
 //! ## Queueing discipline
 //!
@@ -63,8 +63,8 @@
 //!
 //! A cell whose simulation panics (e.g. an invalid GPU count) fails
 //! only the tickets that asked for it: the worker catches the unwind,
-//! the service's claim guard has already reverted the claim (waiters
-//! adopt-and-recompute, exactly as on the blocking path), and the
+//! the service's claim guard has already reverted the claim (a waiter
+//! claims and recomputes it, exactly as on the blocking path), and the
 //! ticket resolves to [`TicketError::CellPanicked`] while the worker
 //! thread survives to serve the next item.
 //!
@@ -114,7 +114,7 @@ use std::time::{Duration, Instant};
 
 use voltascope_train::EpochReport;
 
-use super::{CellClass, GridService, ServiceStats};
+use super::{distinct_cells, GridService, ServiceStats};
 use crate::grid::{Cell, Executor, GridOut, GridSpec};
 
 /// Request priority band. Bands are *strict*: a worker never takes a
@@ -879,22 +879,14 @@ impl Scheduler {
     }
 
     /// Submits `cells` as one ticket and returns immediately. The
-    /// queue holds one item per *unique* cell (duplicates are served
-    /// from the ticket's own results, exactly like the blocking
-    /// path's claim phase); an empty submit resolves immediately.
+    /// queue holds one item per *unique* cell, in first-occurrence
+    /// order (duplicates are served from the ticket's own results,
+    /// exactly like the blocking path); an empty submit resolves
+    /// immediately.
     pub fn submit(&self, cells: &[Cell], opts: SubmitOpts) -> Result<Ticket, SubmitError> {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
 
-        // Dedup preserving first-occurrence order.
-        let mut unique: Vec<Cell> = Vec::new();
-        let mut counts: HashMap<Cell, u64> = HashMap::new();
-        for &cell in cells {
-            let count = counts.entry(cell).or_insert(0);
-            *count += 1;
-            if *count == 1 {
-                unique.push(cell);
-            }
-        }
+        let unique = distinct_cells(cells);
 
         let inner = Arc::new(TicketInner {
             id: self.shared.ticket_ids.fetch_add(1, Ordering::Relaxed) + 1,
@@ -944,13 +936,13 @@ impl Scheduler {
                 });
             }
             let now = Instant::now();
-            for cell in unique {
+            for (cell, dups) in unique {
                 queue.seq += 1;
                 let seq = queue.seq;
                 queue.push(Item {
                     ticket: Arc::clone(&inner),
                     cell,
-                    dups: counts[&cell] - 1,
+                    dups,
                     seq,
                     rank: cost_rank(&cell),
                     enqueued: now,
@@ -1190,9 +1182,9 @@ fn next_item(shared: &Shared, worker: usize) -> Option<Item> {
     }
 }
 
-/// Executes one item through the service's single-flight cache,
-/// catching panics so a poisonous cell fails its ticket, not the
-/// worker.
+/// Executes one item through the service's per-cell answer, as the
+/// blocking path does for each distinct cell of a request, catching
+/// panics so a poisonous cell fails its ticket, not the worker.
 fn execute(shared: &Shared, item: Item) {
     let service = &shared.service;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1200,19 +1192,7 @@ fn execute(shared: &Shared, item: Item) {
     }));
     match outcome {
         Ok((report, class)) => {
-            if item.dups > 0 {
-                // Duplicates of this cell within the ticket inherit
-                // the first occurrence's class, mirroring the blocking
-                // claim phase: duplicates of a freshly computed cell
-                // are intra-request repeats, duplicates of a hit or a
-                // coalesced wait are more of the same.
-                let counter = match class {
-                    CellClass::Hit => &service.hits,
-                    CellClass::Coalesced => &service.coalesced,
-                    CellClass::Computed => &service.repeats,
-                };
-                counter.fetch_add(item.dups, Ordering::Relaxed);
-            }
+            service.charge_duplicates(class, item.dups);
             item.ticket.complete_cell(item.cell, report, || {
                 shared.completed.fetch_add(1, Ordering::Relaxed);
             });

@@ -23,6 +23,10 @@
 //!    once NCCL has rebuilt its communicator against the damaged
 //!    topology the way [`Topology::try_apply`] models).
 //!
+//! Only the degraded run derives a report, whose steady-state columns
+//! the faulted epoch keeps; the healthy and transition runs yield just
+//! their iteration-marker instants.
+//!
 //! A fault that never fires (or a healthy spec) is the healthy epoch,
 //! and one that fires at iteration 0 the statically degraded epoch:
 //! neither simulates the twin it does not return.
@@ -39,7 +43,7 @@
 use voltascope_sim::{DynamicEvent, DynamicEventKind, ResourceId, SimSpan, SimTime, TaskGraph};
 use voltascope_topo::{FaultError, FaultSpec, Link, Topology};
 
-use crate::epoch::{epoch_span, simulate_with_events, EpochError, EpochReport, EpochRequest};
+use crate::epoch::{epoch_span, marker_instants, EpochError, EpochReport, EpochRequest};
 
 /// A fault that strikes partway through an epoch.
 #[derive(Debug, Clone)]
@@ -67,8 +71,9 @@ impl MidEpochFault {
 #[derive(Debug, Clone)]
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) struct DynamicEpochReport {
-    /// The healthy lowering (pre-fault iterations).
-    pub(crate) healthy: EpochReport,
+    /// Steady-state iteration time of the healthy lowering (pre-fault
+    /// iterations).
+    pub(crate) healthy_iter: SimSpan,
     /// The statically degraded lowering (post-fault iterations).
     pub(crate) degraded: EpochReport,
     /// Duration of the iteration the fault strikes in: the healthy
@@ -237,16 +242,19 @@ pub(crate) fn run_faulted(
 
 /// The three-run composition of `spec` striking `healthy` at
 /// iteration `k`, with `0 < k < iterations`; `degraded` is `healthy`
-/// on the statically degraded system. All runs price their tuning
-/// decisions through `healthy.tuner`.
+/// on the statically degraded system. The healthy and transition runs
+/// yield only their iteration-marker instants; only the degraded run
+/// derives a report. All runs price their tuning decisions through
+/// `healthy.tuner`.
 pub(crate) fn compose(
     healthy: &EpochRequest<'_>,
     degraded: &EpochRequest<'_>,
     spec: &FaultSpec,
     k: u64,
 ) -> Result<DynamicEpochReport, EpochError> {
-    let (healthy_report, [t0, _, _]) = simulate_with_events(healthy, |_| Ok(Vec::new()))?;
-    let (degraded, _) = simulate_with_events(degraded, |_| Ok(Vec::new()))?;
+    let [t0, t1, t2] = marker_instants(healthy, |_| Ok(Vec::new()))?;
+    let healthy_iter = t2 - t1;
+    let degraded = degraded.run()?;
     // Transition run: the *healthy* lowering, with the fault's dynamic
     // events firing halfway through the middle (steady-state)
     // iteration of the three-iteration pipeline. The fill `t0` and the
@@ -254,25 +262,25 @@ pub(crate) fn compose(
     // exactly (the engine's event machinery is inert until `at`), so
     // `t1' - t0` prices one iteration that starts healthy and ends
     // re-routed.
-    let at = t0 + healthy_report.iter_time / 2;
-    let (_, [t0_replay, t1, _]) = simulate_with_events(healthy, |graph| {
+    let at = t0 + healthy_iter / 2;
+    let [t0_replay, t1_struck, _] = marker_instants(healthy, |graph| {
         lower_fault_events(graph, &healthy.sys.topo, spec, at)
     })?;
     debug_assert_eq!(t0_replay, t0, "pre-fault fill must replay");
-    let transition_iter = t1 - t0_replay;
+    let transition_iter = t1_struck - t0_replay;
 
     // Piecewise epoch: healthy fill + (k-1) healthy steady iterations
     // + the transition iteration + the remaining iterations at the
     // renegotiated (statically degraded) pace.
-    let n = healthy_report.iterations;
+    let n = degraded.iterations;
     let epoch_time = epoch_span(&[
         (t0 - SimTime::ZERO, 1),
-        (healthy_report.iter_time, k - 1),
+        (healthy_iter, k - 1),
         (transition_iter, 1),
         (degraded.iter_time, n - k - 1),
     ])?;
     Ok(DynamicEpochReport {
-        healthy: healthy_report,
+        healthy_iter,
         degraded,
         transition_iter,
         epoch_time,
@@ -310,8 +318,9 @@ mod tests {
         FaultSpec::new().kill_link(Device::gpu(0), Device::gpu(1))
     }
 
-    /// [`compose`] of `spec` striking halfway through the epoch.
-    fn halfway(model: &Model, gpus: usize, spec: FaultSpec) -> DynamicEpochReport {
+    /// The healthy report and [`compose`] of `spec` striking halfway
+    /// through the epoch.
+    fn halfway(model: &Model, gpus: usize, spec: FaultSpec) -> (EpochReport, DynamicEpochReport) {
         let sys = SystemModel::dgx1();
         let degraded_sys = sys.with_faults(&spec);
         let (workload, cfg) = (lower_model(model, 16).unwrap(), cfg(gpus));
@@ -328,7 +337,10 @@ mod tests {
             ..healthy
         };
         let k = cfg.dataset.iterations(cfg.scaling, 16, gpus) / 2;
-        compose(&healthy, &degraded, &spec, k).unwrap()
+        let r = compose(&healthy, &degraded, &spec, k).unwrap();
+        let healthy = healthy.run().unwrap();
+        assert_eq!(r.healthy_iter, healthy.iter_time, "marker-derived span");
+        (healthy, r)
     }
 
     /// The `Debug` text of [`EpochRequest::run`] for `model` on `sys`,
@@ -353,16 +365,16 @@ mod tests {
         // half of the epoch ran healthy, so the total sits strictly
         // between the healthy and always-dead epochs.
         let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
-        let r = halfway(&zoo::alexnet(), 8, spec);
+        let (healthy, r) = halfway(&zoo::alexnet(), 8, spec);
         assert!(
-            r.degraded.epoch_time > r.healthy.epoch_time,
+            r.degraded.epoch_time > healthy.epoch_time,
             "static fault was free"
         );
         assert!(
-            r.epoch_time > r.healthy.epoch_time,
+            r.epoch_time > healthy.epoch_time,
             "fault was free: {} vs healthy {}",
             r.epoch_time,
-            r.healthy.epoch_time
+            healthy.epoch_time
         );
         assert!(
             r.epoch_time < r.degraded.epoch_time,
@@ -379,16 +391,16 @@ mod tests {
         // degraded epoch matches the healthy one. The *transition*
         // iteration still pays — its in-flight ring was built over the
         // link that died, and the displaced transfers host-bounce.
-        let r = halfway(&zoo::alexnet(), 4, dead_link());
-        assert_eq!(r.degraded.epoch_time, r.healthy.epoch_time);
+        let (healthy, r) = halfway(&zoo::alexnet(), 4, dead_link());
+        assert_eq!(r.degraded.epoch_time, healthy.epoch_time);
         assert!(
-            r.transition_iter > r.healthy.iter_time,
+            r.transition_iter > r.healthy_iter,
             "transition was free: {} vs {}",
             r.transition_iter,
-            r.healthy.iter_time
+            r.healthy_iter
         );
-        let excess = r.transition_iter - r.healthy.iter_time;
-        assert_eq!(r.epoch_time, r.healthy.epoch_time + excess);
+        let excess = r.transition_iter - r.healthy_iter;
+        assert_eq!(r.epoch_time, healthy.epoch_time + excess);
     }
 
     #[test]
@@ -429,14 +441,14 @@ mod tests {
     #[test]
     fn mid_epoch_straggler_charges_the_transition_and_the_tail() {
         let spec = FaultSpec::new().slow_gpu(Device::gpu(1), 1.5);
-        let r = halfway(&zoo::alexnet(), 2, spec);
-        assert!(r.degraded.iter_time > r.healthy.iter_time);
-        assert!(r.epoch_time > r.healthy.epoch_time);
+        let (healthy, r) = halfway(&zoo::alexnet(), 2, spec);
+        assert!(r.degraded.iter_time > r.healthy_iter);
+        assert!(r.epoch_time > healthy.epoch_time);
         assert!(r.epoch_time < r.degraded.epoch_time);
         // The transition iteration starts healthy, so it costs no more
         // than a fully degraded one (and at least a healthy one).
-        assert!(r.transition_iter >= r.healthy.iter_time);
-        assert!(r.transition_iter <= r.degraded.iter_time + r.healthy.iter_time);
+        assert!(r.transition_iter >= r.healthy_iter);
+        assert!(r.transition_iter <= r.degraded.iter_time + r.healthy_iter);
     }
 
     #[test]

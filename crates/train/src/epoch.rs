@@ -432,7 +432,11 @@ impl EpochRequest<'_> {
             }
         }
         match self.fault {
-            None => Ok(simulate_with_events(self, |_| Ok(Vec::new()))?.0),
+            None => {
+                let epoch = assemble(self)?;
+                let schedule = Engine::new().run(&epoch.graph)?;
+                epoch.extract(cfg, &schedule)
+            }
             Some(fault) => crate::dynamic::run_faulted(self, fault),
         }
     }
@@ -515,23 +519,24 @@ pub(crate) fn epoch_span(terms: &[(SimSpan, u64)]) -> Result<SimSpan, EpochError
         .ok_or(EpochError::Overflow("epoch time"))
 }
 
-/// The full lowering of an already validated request, with a mid-run
-/// dynamic-event hook: `events` sees the assembled task graph (to
-/// resolve resources by name) and returns the [`DynamicEvent`]s to
-/// inject; the engine then runs via [`Engine::run_with_events`]. With
-/// no events this is bit-identical to [`Engine::run`], so the healthy
-/// path cannot drift. Also returns the three iteration-marker finish
-/// instants (pipeline fill `t0`, then the steady-state window ends
-/// `t1`, `t2`) that the mid-epoch fault model in [`crate::dynamic`]
-/// needs. Ignores `req.fault`.
-pub(crate) fn simulate_with_events(
+/// The three iteration-marker finish instants (pipeline fill `t0`,
+/// then the steady-state window ends `t1`, `t2`) of an already
+/// validated request's lowering, run with a mid-run dynamic-event
+/// hook: `events` sees the assembled task graph (to resolve resources
+/// by name) and returns the [`DynamicEvent`]s to inject; the engine
+/// then runs via [`Engine::run_with_events`]. With no events the run
+/// is [`EpochRequest::run`]'s fault-free one ([`Engine::run`]), so the
+/// healthy path cannot drift. Derives no report: the mid-epoch fault
+/// model in [`crate::dynamic`] needs only these instants from its
+/// healthy and transition runs. Ignores `req.fault`.
+pub(crate) fn marker_instants(
     req: &EpochRequest<'_>,
     events: impl FnOnce(&TaskGraph) -> Result<Vec<DynamicEvent>, FaultError>,
-) -> Result<(EpochReport, [SimTime; 3]), EpochError> {
+) -> Result<[SimTime; 3], EpochError> {
     let epoch = assemble(req)?;
     let dynamic = events(&epoch.graph)?;
     let schedule = Engine::new().run_with_events(&epoch.graph, &dynamic)?;
-    epoch.extract(req.cfg, &schedule)
+    Ok(epoch.markers.map(|m| schedule.finish_time(m)))
 }
 
 /// The task graph of one epoch's three pipelined iterations, with the
@@ -897,13 +902,8 @@ impl EpochGraph {
         self.markers[0].index() + 1..=self.markers[1].index()
     }
 
-    /// Reads the report from `schedule`, a run of this graph, plus the
-    /// three iteration-marker finish instants.
-    fn extract(
-        &self,
-        cfg: &TrainConfig,
-        schedule: &Schedule,
-    ) -> Result<(EpochReport, [SimTime; 3]), EpochError> {
+    /// Reads the report from `schedule`, a run of this graph.
+    fn extract(&self, cfg: &TrainConfig, schedule: &Schedule) -> Result<EpochReport, EpochError> {
         let graph = &self.graph;
         let window = self.middle_iteration();
         // The blocking chain runs earliest-first through whatever each
@@ -970,21 +970,18 @@ impl EpochGraph {
 
         // Profiler reports read the iteration from time zero.
         iter_trace.rebase();
-        Ok((
-            EpochReport {
-                iterations,
-                iter_time,
-                epoch_time,
-                fp_bp_iter,
-                wu_iter,
-                api_iter,
-                sync_wall_iter,
-                compute_utilization,
-                iter_trace,
-                critical_chain,
-            },
-            [t0, t1, t2],
-        ))
+        Ok(EpochReport {
+            iterations,
+            iter_time,
+            epoch_time,
+            fp_bp_iter,
+            wu_iter,
+            api_iter,
+            sync_wall_iter,
+            compute_utilization,
+            iter_trace,
+            critical_chain,
+        })
     }
 }
 
@@ -1402,7 +1399,7 @@ mod tests {
         let alexnet = lower_model(&zoo::alexnet(), 16).unwrap();
         let c = cfg(16, 8, CommMethod::Nccl);
         let healthy = request(&alexnet, &c);
-        let (_, [t0, t1, t2]) = simulate_with_events(&healthy, |_| Ok(Vec::new())).unwrap();
+        let [t0, t1, t2] = marker_instants(&healthy, |_| Ok(Vec::new())).unwrap();
         let at = t0 + (t2 - t1) / 2;
         let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
         assert_window_is_it1(&healthy, |graph| {

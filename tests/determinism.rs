@@ -45,18 +45,23 @@ fn model_construction_and_init_are_deterministic() {
     assert!(!same);
 }
 
+/// The Fig. 3 rows of `workloads`, swept by a fresh service on `exec`.
+fn fig3(workloads: &[Workload], exec: Executor) -> Vec<experiments::timing::TrainingTimeCell> {
+    let service = GridService::with_executor(Harness::paper(), exec);
+    experiments::fig3::grid(&service, workloads)
+}
+
 #[test]
 fn fig3_parallel_matches_serial_exactly() {
-    // The grid engine's core contract: for any thread count, the
-    // parallel executor returns the same Measurements, in the same
+    // The sweep's core contract: for any thread count, a service on
+    // the parallel executor returns the same Measurements, in the same
     // order, as a serial sweep — so the rendered tables are
     // byte-identical too.
-    let h = Harness::paper();
     let workloads = [Workload::LeNet, Workload::AlexNet];
-    let serial = experiments::fig3::grid_with(&h, &workloads, Executor::Serial);
+    let serial = fig3(&workloads, Executor::Serial);
     let serial_table = experiments::fig3::render(&serial).render();
     for threads in [1, 2, 8] {
-        let parallel = experiments::fig3::grid_with(&h, &workloads, Executor::Parallel { threads });
+        let parallel = fig3(&workloads, Executor::Parallel { threads });
         assert_eq!(serial.len(), parallel.len(), "threads = {threads}");
         for (s, p) in serial.iter().zip(parallel.iter()) {
             assert_eq!(s.workload, p.workload, "threads = {threads}");
@@ -94,13 +99,8 @@ fn table4_parallel_matches_serial_exactly() {
 fn jitter_salt_depends_on_cell_not_execution_order() {
     // Shrinking the grid (or reordering it) must not change any cell's
     // measurement: the jitter salt is a function of the cell key alone.
-    let h = Harness::paper();
-    let full = experiments::fig3::grid_with(
-        &h,
-        &[Workload::LeNet, Workload::AlexNet],
-        Executor::machine(),
-    );
-    let reduced = experiments::fig3::grid_with(&h, &[Workload::AlexNet], Executor::Serial);
+    let full = fig3(&[Workload::LeNet, Workload::AlexNet], Executor::machine());
+    let reduced = fig3(&[Workload::AlexNet], Executor::Serial);
     for r in &reduced {
         let f = full
             .iter()

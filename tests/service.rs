@@ -1,11 +1,12 @@
 //! Service-layer contract: the cached sweep front end must be
 //! single-flight (each cell computed exactly once no matter how many
-//! concurrent requests ask for it), byte-identical to the direct grid
-//! path at any thread count, and keyed on the *full* cell — platform
-//! and fault variants may never answer each other's requests. Under a
-//! modern tuning space every sweep path prices each distinct NCCL
-//! tuning decision once and reports exactly what a fresh per-cell
-//! simulation does.
+//! concurrent requests ask for it), identical at any thread count to
+//! a fresh `grid::cell_report` per cell (the reference voltabench
+//! replays), and keyed on the *full* cell — platform and fault
+//! variants may never answer each other's requests. Under a modern
+//! tuning space every sweep path prices each distinct NCCL tuning
+//! decision once and reports exactly what a fresh per-cell simulation
+//! does.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
@@ -13,7 +14,8 @@ use std::sync::{Arc, Barrier};
 use dgx1_repro::comm::{Ring, TuningSpace};
 use dgx1_repro::prelude::*;
 use dgx1_repro::topo::Topology;
-use voltascope::grid::{cell_report, epoch_reports, harness_for, GridOut};
+use voltascope::experiments::timing::TrainingTimeCell;
+use voltascope::grid::{cell_report, harness_for, GridOut};
 
 fn cell(workload: Workload, comm: CommMethod, batch: usize, gpus: usize) -> Cell {
     Cell {
@@ -77,6 +79,19 @@ fn concurrent_identical_requests_compute_each_cell_exactly_once() {
     }
 }
 
+/// Every cell of `spec` simulated on its own through the public
+/// per-cell entry point, with a fresh harness and nothing shared.
+fn fresh_reports(h: &Harness, spec: &GridSpec) -> Vec<EpochReport> {
+    spec.cells()
+        .iter()
+        .map(|cell| {
+            let fresh = harness_for(h, cell.platform, cell.fault);
+            cell_report(&fresh, &cell.workload.definition(), cell)
+        })
+        .collect()
+}
+
+/// The direct grid path is one fresh `grid::cell_report` per cell.
 #[test]
 fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
     let h = Harness::paper();
@@ -84,12 +99,12 @@ fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
         .workloads([Workload::LeNet])
         .batches([16, 32])
         .gpu_counts([1, 4]);
-    let direct = epoch_reports(&h, &spec, Executor::Serial);
+    let direct = fresh_reports(&h, &spec);
     for threads in [1usize, 2, 8] {
         let service = GridService::with_executor(h.clone(), Executor::Parallel { threads });
         let via_service = service.sweep(&spec);
-        assert_eq!(via_service.cells(), direct.cells());
-        for ((cell, s), (_, d)) in via_service.iter().zip(direct.iter()) {
+        assert_eq!(via_service.cells(), spec.cells().as_slice());
+        for ((cell, s), d) in via_service.iter().zip(&direct) {
             assert_eq!(s.iterations, d.iterations, "{cell:?}");
             assert_eq!(s.iter_time, d.iter_time, "{cell:?}");
             assert_eq!(s.epoch_time, d.epoch_time, "{cell:?}");
@@ -106,17 +121,25 @@ fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
 fn rendered_tables_are_byte_identical_through_the_service() {
     let h = Harness::paper();
     let workloads = [Workload::LeNet];
-    let direct = experiments::fig3::render(&experiments::fig3::grid_with(
-        &h,
-        &workloads,
-        Executor::Serial,
-    ))
-    .render();
+    let spec = experiments::fig3::spec(&workloads);
+    // The Fig. 3 rows of fresh per-cell reports, measured by hand.
+    let direct: Vec<TrainingTimeCell> = spec
+        .cells()
+        .iter()
+        .zip(fresh_reports(&h, &spec))
+        .map(|(c, r)| TrainingTimeCell {
+            workload: c.workload,
+            comm: c.comm,
+            batch: c.batch,
+            gpus: c.gpus,
+            time: h.measure(r.epoch_time.as_secs_f64(), c.jitter_salt()),
+        })
+        .collect();
+    let direct = experiments::fig3::render(&direct).render();
     for threads in [1usize, 2, 8] {
         let service = GridService::with_executor(h.clone(), Executor::Parallel { threads });
         let via_service =
-            experiments::fig3::render(&experiments::fig3::grid_service(&service, &workloads))
-                .render();
+            experiments::fig3::render(&experiments::fig3::grid(&service, &workloads)).render();
         assert_eq!(direct, via_service, "threads = {threads}");
     }
 }
@@ -253,16 +276,7 @@ fn distinct_tuning_keys(base: &Harness, spec: &GridSpec) -> u64 {
 #[test]
 fn every_sweep_path_prices_each_tuning_decision_once_and_agrees() {
     let (h, spec) = tuned_fault_grid();
-    // Reference: every cell on its own, through the public per-cell
-    // entry point, with a fresh harness and nothing shared.
-    let reference: Vec<EpochReport> = spec
-        .cells()
-        .iter()
-        .map(|cell| {
-            let fresh = harness_for(&h, cell.platform, cell.fault);
-            cell_report(&fresh, &cell.workload.definition(), cell)
-        })
-        .collect();
+    let reference = fresh_reports(&h, &spec);
     let check = |out: &GridOut<Arc<EpochReport>>, path: &str| {
         assert_eq!(out.cells(), spec.cells().as_slice(), "{path}");
         for ((cell, report), want) in out.iter().zip(&reference) {
@@ -293,7 +307,6 @@ fn every_sweep_path_prices_each_tuning_decision_once_and_agrees() {
     );
     check(&sched.sweep(&spec), "async scheduler");
     sched.shutdown();
-    check(&epoch_reports(&h, &spec, Executor::Serial), "epoch_reports");
 
     // The paper's singleton space returns before the memo.
     let paper = GridService::with_executor(Harness::paper(), Executor::Serial);

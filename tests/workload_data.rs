@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use dgx1_repro::prelude::*;
 use proptest::prelude::*;
-use voltascope::grid::{epoch_reports, GridOut};
+use voltascope::grid::GridOut;
 use voltascope::workloads::{self, WorkloadSel};
 use voltascope_train::EpochReport as Report;
 use voltascope_workload::{LayerSpec, ParseErrorKind, WorkloadSpec, KNOWN_KINDS};
@@ -70,7 +70,8 @@ fn data_path_reports_match_builders_across_fig3_grid_at_1_2_8_threads() {
                 .into()
         })
         .collect();
-    let builder_ref = keyed(&epoch_reports(&h, &GridSpec::paper(), Executor::Serial));
+    let sweep = |spec: &GridSpec, exec| GridService::with_executor(h.clone(), exec).sweep(spec);
+    let builder_ref = keyed(&sweep(&GridSpec::paper(), Executor::Serial));
     assert_eq!(builder_ref.len(), 120, "full fig3 grid");
     for exec in [
         Executor::Serial,
@@ -78,7 +79,7 @@ fn data_path_reports_match_builders_across_fig3_grid_at_1_2_8_threads() {
         Executor::Parallel { threads: 8 },
     ] {
         let spec = GridSpec::paper().workloads(data_sels.clone());
-        let data = keyed(&epoch_reports(&h, &spec, exec));
+        let data = keyed(&sweep(&spec, exec));
         assert_eq!(data, builder_ref, "data path diverged under {exec:?}");
     }
 }
