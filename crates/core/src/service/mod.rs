@@ -27,17 +27,16 @@
 //! memory bound, and eviction would reintroduce recomputation
 //! nondeterminism for long request streams.
 //!
-//! ## One cell path
+//! ## One dispatch path
 //!
-//! Both front ends answer a cell the same way: the blocking
-//! [`GridService::run_cells`] dedupes its request in first-occurrence
-//! order and runs the per-cell answer for each distinct cell on the
-//! executor, and the [`sched`] workers run it for each queued item.
-//! The answer serves a completed entry (a *hit*), waits on another
-//! thread's in-flight claim (*coalesced*), or claims and computes the
-//! cell; duplicates within one request are charged to the class their
-//! first occurrence was answered as, a freshly computed cell's
-//! duplicates as intra-request *repeats*.
+//! Every request goes through [`GridService::run_cells_traced`]
+//! (`run_cells`, `sweep` and `sweep_traced` are views of it). It
+//! dedupes the request in first-occurrence order and answers each
+//! distinct cell on the executor: it serves a completed entry (a
+//! *hit*), waits on another thread's in-flight claim (*coalesced*), or
+//! claims and computes the cell. Duplicates within one request are
+//! charged to the class their first occurrence was answered as, a
+//! freshly computed cell's duplicates as intra-request *repeats*.
 //!
 //! ## Single-flight
 //!
@@ -66,9 +65,9 @@
 //! ## Tuner memo
 //!
 //! The service owns one [`TunerMemo`] for its whole lifetime, and
-//! every cell it computes — whichever front end asked — prices its
-//! NCCL tuning decisions through it, so under a modern tuning space
-//! each distinct decision is simulated once per service.
+//! every cell it computes prices its NCCL tuning decisions through it,
+//! so under a modern tuning space each distinct decision is simulated
+//! once per service.
 //! The memo lives on the service, not on the [`Harness`]: the harness
 //! is hashed into snapshot fingerprints and cloned into fresh
 //! services. [`GridService::tuner_stats`] reports its counters.
@@ -92,22 +91,13 @@
 //! trace-consuming request ([`GridService::sweep_traced`] /
 //! [`GridService::run_cells_traced`]) actually touches that cell.
 //! Ordinary (table-only) requests serve lazy entries as hits with
-//! empty traces and never decode a single event; the first traced
-//! request decodes the block under the state lock and upgrades the
-//! entry to a full `Done` in place (counted by
+//! empty traces and never decode a single event. The first traced
+//! request decodes the block with the state lock released, so other
+//! cells' lookups never wait behind it, then upgrades the entry to a
+//! full `Done` in place if it is still lazy (counted by
 //! [`GridService::trace_decodes`]). Re-saving an untouched lazy entry
 //! copies its encoded block verbatim, so a warm load-then-save
 //! round-trip is byte-identical without decoding anything.
-//!
-//! ## Async front end
-//!
-//! [`sched`] layers a non-blocking, prioritised scheduler over this
-//! service: requests become tickets on a bounded queue drained by a
-//! worker pool, with strict-priority bands, deficit-round-robin
-//! fairness across clients, cancellation, deadlines and backpressure.
-//! Its workers answer cells through the same per-cell path and cache,
-//! so the two front ends are byte-identical (`tests/sched.rs` pins the
-//! paper goldens through it).
 //!
 //! ## Example
 //!
@@ -127,7 +117,6 @@
 //! ```
 
 pub mod persist;
-pub mod sched;
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -163,12 +152,11 @@ enum Slot {
 }
 
 /// How [`GridService::cell_report`] answered one cell, for duplicate
-/// accounting ([`GridService::charge_duplicates`]): duplicates of a
-/// cell inherit the first occurrence's class (`Computed` duplicates
-/// are intra-request repeats, `Hit`/`Coalesced` duplicates are more of
-/// the same).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CellClass {
+/// accounting: duplicates of a cell inherit the first occurrence's
+/// class (`Computed` duplicates are intra-request repeats,
+/// `Hit`/`Coalesced` duplicates are more of the same).
+#[derive(Debug, Clone, Copy)]
+enum CellClass {
     /// Served from a completed cache entry.
     Hit,
     /// Waited on a computation some other thread had in flight.
@@ -261,7 +249,7 @@ pub struct GridService {
     exec: Executor,
     state: Mutex<State>,
     /// Every cell this service computes prices its NCCL tuning
-    /// decisions through this memo, whichever front end asked.
+    /// decisions through this memo.
     tuner: TunerMemo,
     ready: Condvar,
     requests: AtomicU64,
@@ -306,7 +294,7 @@ impl Drop for ClaimGuard<'_> {
 
 /// The distinct cells of one request in first-occurrence order, each
 /// with the number of further times the request names it.
-pub(crate) fn distinct_cells(cells: &[Cell]) -> Vec<(Cell, u64)> {
+fn distinct_cells(cells: &[Cell]) -> Vec<(Cell, u64)> {
     let mut position: HashMap<Cell, usize> = HashMap::with_capacity(cells.len());
     let mut distinct: Vec<(Cell, u64)> = Vec::with_capacity(cells.len());
     for &cell in cells {
@@ -475,7 +463,15 @@ impl GridService {
         let reports = self.exec.run(distinct.len(), |i| {
             let (cell, dups) = distinct[i];
             let (report, class) = self.cell_report(cell, traced);
-            self.charge_duplicates(class, dups);
+            // Duplicates of a hit or a coalesced wait are more of the
+            // same; duplicates of a freshly computed cell are
+            // intra-request repeats (the request paid for it itself).
+            let counter = match class {
+                CellClass::Hit => &self.hits,
+                CellClass::Coalesced => &self.coalesced,
+                CellClass::Computed => &self.repeats,
+            };
+            counter.fetch_add(dups, Ordering::Relaxed);
             report
         });
         let by_cell: HashMap<Cell, Arc<EpochReport>> = distinct
@@ -486,35 +482,49 @@ impl GridService {
         cells.iter().map(|cell| by_cell[cell].clone()).collect()
     }
 
-    /// Answers one cell — the one cell path of both front ends:
-    /// serves a completed entry (decoding a lazy trace block first
-    /// when `traced`), waits on a computation another thread has in
-    /// flight, or claims and computes the cell, and reports *how* it
-    /// answered so the caller can charge the cell's duplicates
-    /// ([`GridService::charge_duplicates`]). Counts the cell itself in
-    /// `hits`, `coalesced` or `computed`, but leaves the request and
-    /// cell counters to the caller, which counts each request once.
+    /// Answers one cell: serves a completed entry (decoding a lazy
+    /// trace block first when `traced`), waits on a computation another
+    /// thread has in flight, or claims and computes the cell, and
+    /// reports *how* it answered so the caller can charge the cell's
+    /// duplicates. Counts the cell itself in `hits`, `coalesced` or
+    /// `computed`, but leaves the request and cell counters to the
+    /// caller, which counts each request once.
     ///
     /// # Panics
     ///
     /// Panics if the cell's simulation panics; the claim is reverted
-    /// first (scheduler workers catch the unwind and fail the ticket).
-    pub(crate) fn cell_report(&self, cell: Cell, traced: bool) -> (Arc<EpochReport>, CellClass) {
+    /// first.
+    fn cell_report(&self, cell: Cell, traced: bool) -> (Arc<EpochReport>, CellClass) {
         let mut waited = false;
         let mut state = self.lock_state();
         loop {
-            // Traced request on a lazy entry: decode and upgrade in
-            // place (an undecodable block falls through to reclaim).
-            if traced && matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. })) {
-                if let Some(report) = self.upgrade_lazy(&mut state, cell) {
-                    drop(state);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (report, CellClass::Hit);
-                }
-            }
             let served = match state.cache.get(&cell) {
                 Some(Slot::Done(report)) => Some(report.clone()),
                 Some(Slot::DoneLazy { report, .. }) if !traced => Some(report.clone()),
+                // Traced request on a lazy entry: decode the block with
+                // the lock released, then upgrade the slot in place if
+                // it is still lazy. Threads that decoded the same block
+                // concurrently find it upgraded and serve that report.
+                Some(Slot::DoneLazy { report, trace }) => {
+                    let (report, trace) = (report.clone(), trace.clone());
+                    drop(state);
+                    let decoded = trace.decode();
+                    state = self.lock_state();
+                    if !matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. })) {
+                        continue;
+                    }
+                    // An undecodable block falls through to reclaim
+                    // (unreachable for snapshots this code wrote, since
+                    // the load checksummed the image, but defended).
+                    decoded.ok().map(|iter_trace| {
+                        let mut full = (*report).clone();
+                        full.iter_trace = iter_trace;
+                        let full = Arc::new(full);
+                        state.cache.insert(cell, Slot::Done(full.clone()));
+                        self.trace_decodes.fetch_add(1, Ordering::Relaxed);
+                        full
+                    })
+                }
                 Some(Slot::InFlight) => {
                     waited = true;
                     state = self
@@ -523,10 +533,9 @@ impl GridService {
                         .unwrap_or_else(PoisonError::into_inner);
                     continue;
                 }
-                // Missing (or undecodable-lazy under a traced request,
-                // or reverted by a panicked claimant while we waited):
-                // claim it.
-                Some(Slot::DoneLazy { .. }) | None => None,
+                // Missing (or reverted by a panicked claimant while we
+                // waited): claim it.
+                None => None,
             };
             let Some(report) = served else {
                 return (self.claim_and_compute(state, cell), CellClass::Computed);
@@ -542,20 +551,6 @@ impl GridService {
                 (report, CellClass::Hit)
             };
         }
-    }
-
-    /// Charges `dups` further occurrences of a cell within one request
-    /// to the class its first occurrence was answered as: duplicates of
-    /// a hit or a coalesced wait are more of the same, duplicates of a
-    /// freshly computed cell are intra-request `repeats` (the request
-    /// paid for the computation itself).
-    pub(crate) fn charge_duplicates(&self, class: CellClass, dups: u64) {
-        let counter = match class {
-            CellClass::Hit => &self.hits,
-            CellClass::Coalesced => &self.coalesced,
-            CellClass::Computed => &self.repeats,
-        };
-        counter.fetch_add(dups, Ordering::Relaxed);
     }
 
     /// Claims the absent `cell` under the held state lock, then
@@ -578,25 +573,6 @@ impl GridService {
             .insert(cell, Slot::Done(report.clone()));
         self.ready.notify_all();
         report
-    }
-
-    /// Decodes a lazy entry's trace block and upgrades its slot to a
-    /// full `Done` in place, returning the complete report. `None` if
-    /// the slot is not lazy or the block fails to decode (the caller
-    /// reclaims the cell and recomputes — unreachable for snapshots
-    /// this code wrote, since the load already checksummed the image,
-    /// but cheap to stay defensive about).
-    fn upgrade_lazy(&self, state: &mut State, cell: Cell) -> Option<Arc<EpochReport>> {
-        let (report, trace) = match state.cache.get(&cell) {
-            Some(Slot::DoneLazy { report, trace }) => (report.clone(), trace.clone()),
-            _ => return None,
-        };
-        let mut full = (*report).clone();
-        full.iter_trace = trace.decode().ok()?;
-        let full = Arc::new(full);
-        state.cache.insert(cell, Slot::Done(full.clone()));
-        self.trace_decodes.fetch_add(1, Ordering::Relaxed);
-        Some(full)
     }
 
     /// Fetches (building on first use) the shared workload definition
@@ -639,9 +615,9 @@ impl GridService {
     /// Number of lazy-loaded trace blocks decoded so far — the cost a
     /// warm service has actually paid for traces. A warm service
     /// answering only table-level sweeps leaves this at zero.
-    /// Deliberately *not* part of [`ServiceStats`]: the async/blocking
-    /// stat-parity contract compares how requests were answered, not
-    /// which snapshot machinery served them.
+    /// Deliberately *not* part of [`ServiceStats`]: those count how
+    /// requests were answered, not which snapshot machinery served
+    /// them.
     pub fn trace_decodes(&self) -> u64 {
         self.trace_decodes.load(Ordering::Relaxed)
     }
@@ -956,6 +932,45 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_traced_requests_upgrade_each_lazy_entry_once() {
+        let path = std::env::temp_dir().join(format!(
+            "voltascope-service-concurrent-lazy-{}.snap",
+            std::process::id()
+        ));
+        let cells = [lenet_cell(16, 1), lenet_cell(16, 2), lenet_cell(32, 4)];
+        let cold = GridService::with_executor(Harness::paper(), Executor::Serial);
+        let cold_reports = cold.run_cells(&cells);
+        cold.save(&path).unwrap();
+
+        // Every thread decodes outside the lock and may race another
+        // decoding the same block; only the first upgrade of each
+        // slot counts, and every thread gets the upgraded entry.
+        let (warm, _) =
+            GridService::with_snapshot(Harness::paper(), Executor::Parallel { threads: 2 }, &path);
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<Vec<Arc<EpochReport>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        warm.run_cells_traced(&cells, true)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for reports in &results {
+            for ((got, first), cold) in reports.iter().zip(&results[0]).zip(&cold_reports) {
+                assert!(Arc::ptr_eq(got, first), "one upgraded Arc per cell");
+                assert_eq!(got.iter_trace.events(), cold.iter_trace.events());
+            }
+        }
+        assert_eq!(warm.trace_decodes(), cells.len() as u64);
+        assert_eq!(warm.stats().computed, 0, "lazy decode, not recompute");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn missing_and_stale_snapshots_start_cold() {
         let path = std::env::temp_dir().join(format!(
             "voltascope-service-stale-{}.snap",
@@ -978,35 +993,6 @@ mod tests {
         ));
         assert_eq!(service.cached_cells(), 0);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cell_report_classifies_hits_and_computes() {
-        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let cell = lenet_cell(16, 1);
-        let (first, class) = service.cell_report(cell, false);
-        assert_eq!(class, CellClass::Computed);
-        let (second, class) = service.cell_report(cell, false);
-        assert_eq!(class, CellClass::Hit);
-        assert!(Arc::ptr_eq(&first, &second));
-        let stats = service.stats();
-        assert_eq!(stats.computed, 1);
-        assert_eq!(stats.hits, 1);
-        // cell_report leaves request/cell accounting to its caller.
-        assert_eq!(stats.requests, 0);
-        assert_eq!(stats.cells, 0);
-    }
-
-    #[test]
-    fn cell_report_panics_revert_like_the_blocking_path() {
-        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            service.cell_report(poisonous_cell(), false);
-        }));
-        assert!(result.is_err());
-        assert_eq!(service.cached_cells(), 0, "claim reverted");
-        let (_, class) = service.cell_report(lenet_cell(16, 1), false);
-        assert_eq!(class, CellClass::Computed);
     }
 
     #[test]

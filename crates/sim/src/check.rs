@@ -1,10 +1,11 @@
 //! Shared invariant assertions for schedules and traces.
 //!
-//! Test suites across the workspace (the engine property tests, the
-//! DAG and scheduler integration suites) re-check the same structural
-//! facts about every schedule they produce. Centralising the checks
-//! here keeps them consistent and lets a new suite opt in with one
-//! call instead of re-deriving the list.
+//! Test suites across the workspace (the engine, collective and
+//! dynamic-event property tests, the determinism and timing suites)
+//! re-check the same structural facts about every schedule they
+//! produce. Centralising the checks here keeps them consistent and
+//! lets a new suite opt in with one call instead of re-deriving the
+//! list.
 
 use std::collections::BTreeSet;
 

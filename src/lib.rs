@@ -31,10 +31,6 @@ pub use voltascope_workload as workload;
 /// The most commonly used items, for examples and tests.
 pub mod prelude {
     pub use voltascope::grid::{Cell, Executor, FaultScenario, GridRunner, GridSpec, Platform};
-    pub use voltascope::service::sched::{
-        Priority, SchedConfig, SchedStats, Scheduler, SubmitError, SubmitOpts, Ticket, TicketError,
-        TicketStatus,
-    };
     pub use voltascope::service::{persist, GridService, ServiceStats, SnapshotStatus};
     pub use voltascope::workloads::{DataWorkload, WorkloadSel};
     pub use voltascope::{experiments, Harness, Measurement};

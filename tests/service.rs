@@ -6,14 +6,18 @@
 //! variants may never answer each other's requests. Under a modern
 //! tuning space every sweep path prices each distinct NCCL tuning
 //! decision once and reports exactly what a fresh per-cell simulation
-//! does.
+//! does. The paper goldens render byte for byte through the service,
+//! cold at every executor and warm from a snapshot, and random
+//! overlapping traffic from concurrent callers keeps the accounting
+//! balanced.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Barrier};
 
 use dgx1_repro::comm::{Ring, TuningSpace};
 use dgx1_repro::prelude::*;
 use dgx1_repro::topo::Topology;
+use proptest::prelude::*;
 use voltascope::experiments::timing::TrainingTimeCell;
 use voltascope::grid::{cell_report, harness_for, GridOut};
 
@@ -301,16 +305,197 @@ fn every_sweep_path_prices_each_tuning_decision_once_and_agrees() {
 
     let parallel = GridService::with_executor(h.clone(), Executor::Parallel { threads: 2 });
     check(&parallel.sweep(&spec), "2-thread service");
-    let sched = Scheduler::new(
-        Arc::new(GridService::with_executor(h.clone(), Executor::Serial)),
-        SchedConfig::default().workers(2),
-    );
-    check(&sched.sweep(&spec), "async scheduler");
-    sched.shutdown();
 
     // The paper's singleton space returns before the memo.
     let paper = GridService::with_executor(Harness::paper(), Executor::Serial);
     paper.sweep(&experiments::fig3::spec(&Workload::ALL));
     assert_eq!(paper.tuner_stats().lookups, 0);
     assert_eq!(paper.tuner_stats().simulated, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Paper goldens through the service: the full Fig. 3 grid at every
+// executor, the modern-tuning degraded-DGX-1 sweep as a traced sweep,
+// and a Fig. 3 snapshot saved by one service and served by another,
+// each byte-identical to the file the regeneration binary is diffed
+// against.
+// ---------------------------------------------------------------------------
+
+const FIG3_GOLDEN: &str = include_str!("../results/fig3_training_time.txt");
+const TUNED_DEGRADED_GOLDEN: &str = include_str!("../results/tuned/degraded_dgx1.txt");
+
+/// A table as the regeneration binaries print it (`emit` without
+/// `--csv`): a `== title ==` header, the table, a blank line.
+fn emitted(title: &str, table: &TextTable) -> String {
+    format!("== {title} ==\n{}\n", table.render())
+}
+
+fn fig3_text(service: &GridService, out: &GridOut<Arc<EpochReport>>) -> String {
+    let cells = experiments::fig3::rows_from(service.base(), out);
+    emitted(
+        "Fig. 3: Training time per epoch (s)",
+        &experiments::fig3::render(&cells),
+    )
+}
+
+#[test]
+fn the_fig3_golden_is_byte_identical_at_every_executor() {
+    let spec = experiments::fig3::spec(&Workload::ALL);
+    for exec in [
+        Executor::Serial,
+        Executor::Parallel { threads: 2 },
+        Executor::Parallel { threads: 8 },
+    ] {
+        let service = GridService::with_executor(Harness::paper(), exec);
+        let out = service.sweep(&spec);
+        assert!(
+            fig3_text(&service, &out) == FIG3_GOLDEN,
+            "fig3 drifted from its golden under {exec:?}"
+        );
+        let stats = service.stats();
+        assert_eq!(
+            (stats.requests, stats.cells, stats.computed),
+            (1, 120, 120),
+            "{exec:?}"
+        );
+    }
+}
+
+#[test]
+fn the_tuned_degraded_golden_is_byte_identical_through_a_traced_sweep() {
+    let mut h = Harness::paper();
+    h.sys.nccl.tuning = TuningSpace::modern();
+    let service = GridService::with_executor(h, Executor::Parallel { threads: 2 });
+    let spec = experiments::faults::spec().workloads(Workload::ALL);
+    let rows: Vec<_> = experiments::faults::rows_from(service.sweep_traced(&spec))
+        .into_pairs()
+        .map(|(_, row)| row)
+        .collect();
+    let text = emitted(
+        "Degraded DGX-1: fault-injection scenarios (batch 16, 8 GPUs)",
+        &experiments::faults::render(&rows),
+    );
+    assert!(
+        text == TUNED_DEGRADED_GOLDEN,
+        "tuned degraded sweep drifted from its golden:\n{text}"
+    );
+}
+
+#[test]
+fn a_saved_fig3_snapshot_warm_starts_another_service() {
+    let spec = experiments::fig3::spec(&Workload::ALL);
+    let path = std::env::temp_dir().join(format!(
+        "voltascope-service-fig3-{}.snap",
+        std::process::id()
+    ));
+    let exec = Executor::Parallel { threads: 2 };
+
+    let cold = GridService::with_executor(Harness::paper(), exec);
+    assert!(fig3_text(&cold, &cold.sweep(&spec)) == FIG3_GOLDEN);
+    assert_eq!(cold.save(&path).unwrap(), 120);
+
+    let (warm, status) = GridService::with_snapshot(Harness::paper(), exec, &path);
+    assert!(
+        matches!(status, SnapshotStatus::Loaded { cells: 120 }),
+        "{status}"
+    );
+    assert!(fig3_text(&warm, &warm.sweep(&spec)) == FIG3_GOLDEN);
+    let stats = warm.stats();
+    assert_eq!(stats.computed, 0, "the warm pass must not recompute");
+    assert_eq!(stats.hit_rate(), 1.0);
+    assert_eq!(warm.trace_decodes(), 0, "table-only warm pass");
+    std::fs::remove_file(&path).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Randomized concurrency stress: concurrent callers send random
+// overlapping windows of one cell pool, some naming a cell twice. Every
+// touched cell is computed exactly once, every requested cell is
+// classified exactly once, and each cell is one shared report.
+// ---------------------------------------------------------------------------
+
+/// Twelve cheap LeNet cells; stress requests are windows over them.
+fn stress_pool() -> Vec<Cell> {
+    (8..20)
+        .map(|batch| cell(Workload::LeNet, CommMethod::P2p, batch, 1))
+        .collect()
+}
+
+/// Linear-congruential step with an xor-shift output, the per-thread
+/// deterministic randomness source.
+fn next_rand(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*state >> 24) ^ *state
+}
+
+fn stress_round(seed: u64, exec: Executor) {
+    let pool = stress_pool();
+    let service = GridService::with_executor(Harness::paper(), exec);
+
+    // 3 caller threads x 10 requests, each a window of 1-6 consecutive
+    // pool cells (wrapping); about 1 in 4 names its first cell again.
+    let requests: Vec<(Vec<Cell>, Vec<Arc<EpochReport>>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3u64)
+            .map(|thread| {
+                let (service, pool) = (&service, &pool);
+                scope.spawn(move || {
+                    let mut rng = seed ^ thread.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (0..10)
+                        .map(|_| {
+                            let r = next_rand(&mut rng);
+                            let start = (r % pool.len() as u64) as usize;
+                            let len = 1 + (r / 16 % 6) as usize;
+                            let mut cells: Vec<Cell> =
+                                (0..len).map(|k| pool[(start + k) % pool.len()]).collect();
+                            if (r / 1024).is_multiple_of(4) {
+                                cells.push(cells[0]);
+                            }
+                            let reports = service.run_cells(&cells);
+                            (cells, reports)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("caller thread"))
+            .collect()
+    });
+
+    let mut shared: HashMap<Cell, Arc<EpochReport>> = HashMap::new();
+    for (cells, reports) in &requests {
+        assert_eq!(reports.len(), cells.len());
+        for (cell, report) in cells.iter().zip(reports) {
+            let first = shared.entry(*cell).or_insert_with(|| report.clone());
+            assert!(Arc::ptr_eq(first, report), "{cell:?} answered twice");
+        }
+    }
+    let stats = service.stats();
+    let sent: u64 = requests.iter().map(|(cells, _)| cells.len() as u64).sum();
+    assert_eq!(
+        stats.computed,
+        shared.len() as u64,
+        "single-flight violated under {exec:?}: {stats:?}"
+    );
+    assert_eq!(stats.cells, sent, "{stats:?}");
+    assert_eq!(stats.requests, 30, "{stats:?}");
+    assert_eq!(
+        stats.hits + stats.coalesced + stats.repeats + stats.computed,
+        stats.cells,
+        "every requested cell classified exactly once: {stats:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn random_overlapping_requests_keep_the_accounting_balanced(seed in 0u64..1_000_000) {
+        for threads in [1usize, 2, 8] {
+            stress_round(seed ^ threads as u64, Executor::Parallel { threads });
+        }
+    }
 }
