@@ -3,12 +3,10 @@
 //! interactive exploration session produces — and reports, per
 //! request, how many cells were answered from cache versus computed.
 //!
-//! The request stream is fixed and the requests are issued
-//! sequentially (each one is answered in full before the next request
-//! runs), so the printed table is deterministic for any
-//! `VOLTASCOPE_THREADS` setting: the parallel workers of one request
-//! answer distinct cells, so a cell is either a hit or computed, never
-//! coalesced.
+//! The request stream is fixed and the service answers each request in
+//! full before the next one, so the printed table is deterministic for
+//! any `VOLTASCOPE_THREADS` setting: the thread count changes which
+//! worker computes a cell, never whether the cell is a hit.
 use voltascope::grid::GridSpec;
 use voltascope::service::GridService;
 use voltascope::Harness;
@@ -73,7 +71,7 @@ fn main() {
         table.row([
             name.to_string(),
             out.len().to_string(),
-            (now.hits + now.coalesced - prev.hits - prev.coalesced).to_string(),
+            (now.hits - prev.hits).to_string(),
             (now.computed - prev.computed).to_string(),
             format!("{:.1}%", 100.0 * now.hit_rate()),
         ]);
@@ -83,7 +81,7 @@ fn main() {
     table.row([
         "TOTAL".to_string(),
         stats.cells.to_string(),
-        (stats.hits + stats.coalesced).to_string(),
+        stats.hits.to_string(),
         stats.computed.to_string(),
         format!("{:.1}%", 100.0 * stats.hit_rate()),
     ]);

@@ -155,7 +155,7 @@ const MAX_CHUNKS_PER_HOP: u64 = 32;
 
 /// Exact byte split of a `wire_bytes` transfer into chunk tasks at the
 /// protocol's step granularity: `ceil(wire / chunk_bytes)` chunks,
-/// capped at [`MAX_CHUNKS_PER_HOP`], sizes differing by at most one
+/// capped at `MAX_CHUNKS_PER_HOP`, sizes differing by at most one
 /// byte and summing to exactly `wire_bytes` (no rounding loss — the
 /// byte-conservation property the metamorphic suite checks).
 pub fn chunk_split(wire_bytes: u64, protocol: Protocol) -> Vec<u64> {
@@ -524,7 +524,7 @@ fn ring_collective(
 /// serialisation time while depth contributes latency; the bandwidth
 /// floor is each rank's *engine* occupancy — interior ranks funnel
 /// three payload streams through one per-GPU processing path shared by
-/// all channels ([`TREE_ENGINE_BYTES_PER_SEC`]), which is what keeps
+/// all channels (`TREE_ENGINE_BYTES_PER_SEC`), which is what keeps
 /// large-message trees slower than rings however many channels open.
 ///
 /// `gpus` must be in rank order; non-adjacent tree edges fall back to

@@ -1113,6 +1113,8 @@ fn take_report_scalars(r: &mut Reader<'_>) -> Result<EpochReport, PersistError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
     use voltascope_sim::TraceEvent;
 
     fn cell(batch: usize, gpus: usize) -> Cell {
@@ -1509,5 +1511,80 @@ mod tests {
             decode_trace_block(&wrap(&inner)),
             Err(PersistError::Corrupted("front-coded prefix out of range"))
         ));
+    }
+
+    /// The trace block of a real cell (LeNet, NCCL, batch 16, 2 GPUs)
+    /// and the inner layout it compresses, built once.
+    fn lenet_block() -> &'static (Vec<u8>, Vec<u8>) {
+        static BLOCK: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+        BLOCK.get_or_init(|| {
+            let cell = Cell {
+                comm: CommMethod::Nccl,
+                ..cell(16, 2)
+            };
+            let def = cell.workload.definition();
+            let report = crate::grid::cell_report(&Harness::paper(), &def, &cell);
+            let block = encode_trace_block(&report.iter_trace);
+            let mut outer = Reader {
+                bytes: &block,
+                pos: 0,
+            };
+            let raw_len = outer.varint().unwrap() as usize;
+            let inner = lzss_decompress(&mut outer, raw_len).unwrap();
+            (block, inner)
+        })
+    }
+
+    /// `bytes` with one byte changed per `(position, xor)` edit, the
+    /// position taken modulo the length.
+    fn mutated(bytes: &[u8], edits: &[(usize, u8)]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for &(at, flip) in edits {
+            let at = at % out.len();
+            out[at] ^= flip;
+        }
+        out
+    }
+
+    // The decoder must answer `Ok` or `Err` for any input, never
+    // panic: a traced service request decodes lazy blocks as executor
+    // jobs, where only an `Err` falls back to a recompute.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_trace_block_decoder(
+            bytes in proptest::collection::vec(0u8..=255, 0..65)
+        ) {
+            let _ = decode_trace_block(&bytes);
+        }
+
+        #[test]
+        fn mutated_blocks_never_panic_the_trace_block_decoder(
+            edits in proptest::collection::vec((0usize..usize::MAX, 1u8..=255), 1..4)
+        ) {
+            // A changed outer layer may still be a valid but
+            // non-canonical LZSS stream, so re-encoding is not checked.
+            let _ = decode_trace_block(&mutated(&lenet_block().0, &edits));
+        }
+
+        #[test]
+        fn mutated_inner_layouts_decode_only_canonically(
+            edits in proptest::collection::vec((0usize..usize::MAX, 1u8..=255), 1..4)
+        ) {
+            // Re-wrapped, so the change reaches the string-table and
+            // event parser; whatever it accepts must re-encode byte for
+            // byte, which verbatim `TraceOut::Raw` re-saves rely on.
+            let inner = mutated(&lenet_block().1, &edits);
+            let mut block = Vec::new();
+            put_varint(&mut block, inner.len() as u64);
+            lzss_compress(&inner, &mut block);
+            if let Ok(trace) = decode_trace_block(&block) {
+                prop_assert!(
+                    encode_trace_block(&trace) == block,
+                    "an accepted block re-encodes differently"
+                );
+            }
+        }
     }
 }
